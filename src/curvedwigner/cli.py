@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = ["GridSpec", "RunConfig", "main",
 FIGURE1_DEPTHS = (4.0, 30.0)
 FIGURE1_GRID_EXTENT = 4.0
 FIGURE1_GRID_POINTS = 256
+EVALUATOR_TAGS = {"spectral": "spectral", "closed": "closed_form", "quad": "quadrature"}
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,16 @@ class RunConfig:
     radius: float = 1.0
     n_list: tuple = (0, 1, 2, 3)
     grid: GridSpec | None = None
-    evaluator: str = "closed"
+    evaluator: str = "spectral"
     out_dir: str | None = None
     formats: tuple = ("csv", "pgm")
     tol: float = 1.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.command not in ("eigen", "wavefun", "wigner", "figure1", "verify"):
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.evaluator not in ("closed", "quad"):
-            raise ConfigError("evaluator must be 'closed' or 'quad'")
+        if self.evaluator not in EVALUATOR_TAGS:
+            raise ConfigError(f"evaluator must be one of {sorted(EVALUATOR_TAGS)}")
         if self.omega is not None and self.s is not None:
             raise ConfigError("give either --omega or --s, not both")
         if self.mu <= 0 or self.radius <= 0:
@@ -109,7 +109,7 @@ class RunConfig:
         return OscillatorParams(self.mu, self.omega, self.radius)
 
     def evaluator_tag(self) -> str:
-        return "closed_form" if self.evaluator == "closed" else "quadrature"
+        return EVALUATOR_TAGS[self.evaluator]
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -228,8 +228,7 @@ def _emit_panel(grid: WignerGrid, out: Path, stem: str, formats) -> list[tuple[P
         files.append((emit_grid_csv(grid, out / f"{stem}.csv"), "wigner_csv"))
     if "pgm" in formats:
         chi_f, q_f, v_f = reflect_quadrant(grid)
-        full = WignerGrid(chi_f, q_f, v_f, grid.evaluator_tag, grid.state_meta,
-                          grid.max_imag_residue, grid.fallback_points)
+        full = replace(grid, chi_axis=chi_f, pR_axis=q_f, values=v_f)
         files.append((emit_pgm(full, out / f"{stem}.pgm"), "wigner_pgm"))
     return files
 
@@ -253,7 +252,7 @@ def run_wigner(config: RunConfig) -> Path:
     for n in config.n_list:
         state = _checked_state(int(n), params)
         grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis(),
-                           evaluator=config.evaluator_tag(), workers=config.workers)
+                           evaluator=config.evaluator_tag())
         stem = f"wigner_n{n}"
         files += _emit_panel(grid, out, stem, config.formats)
         files += _marginal_files(grid, params.R, out, stem)
@@ -276,8 +275,7 @@ def run_figure1(config: RunConfig) -> Path:
         q_axis = grid.p_axis() * root_s
         for n in config.n_list:
             state = _checked_state(int(n), params)
-            panel = wigner_grid(state, chi_axis, q_axis,
-                                evaluator=config.evaluator_tag(), workers=config.workers)
+            panel = wigner_grid(state, chi_axis, q_axis, evaluator=config.evaluator_tag())
             stem = f"figure1_s{s:g}_n{n}"
             files += _emit_panel(panel, out, stem, config.formats)
             files += _marginal_files(panel, params.R, out, stem)
@@ -319,14 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated mode list, e.g. 0,1,2,3")
         p.add_argument("--grid", type=str, default=None,
                        help="CHI_MIN:CHI_MAX:N,P_MIN:P_MAX:N")
-        p.add_argument("--evaluator", choices=("closed", "quad"), default=None)
+        p.add_argument("--evaluator", choices=tuple(EVALUATOR_TAGS), default=None)
         p.add_argument("--out", dest="out_dir", type=str, default=None)
         p.add_argument("--format", dest="formats", type=str, default=None,
                        help="comma-separated subset of csv,pgm")
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance scale for verify (1.0 = nominal)")
-        p.add_argument("--workers", type=int, default=None)
     return parser
 
 
@@ -342,7 +339,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "evaluator": args.evaluator,
         "out_dir": args.out_dir,
         "tol": args.tol,
-        "workers": args.workers,
     }
     if args.n_list is not None:
         try:

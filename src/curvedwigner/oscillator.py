@@ -4,10 +4,10 @@ Bound states, the quadratic spectrum, momentum-space profiles, scattering
 states, and the flat harmonic-oscillator references used in contraction
 checks.  Bound wavefunctions are normalized with respect to dchi.
 
-The closed-form momentum profile carries a constant (per state) that is
-calibrated once against the numerical transform of the position profile; see
-``momentum_calibration``.  The calibrated constant, not the raw closed form,
-is what ``psi_momentum`` returns, and verification reports the constants.
+The printed closed-form momentum profile is off by the constant
+(-1)^n / sqrt(2R); ``psi_momentum`` carries that constant in its prefactor,
+and ``momentum_calibration`` measures it against the numerical transform of
+the position profile, which verification reports.
 """
 
 from __future__ import annotations
@@ -207,15 +207,15 @@ def bound_sampler(state: BoundStateLabel) -> FieldSampler:
     )
 
 
-def _momentum_closed_3f2(state: BoundStateLabel, p: float) -> complex:
-    """Closed momentum-space form (uncalibrated):
+def _momentum_closed_3f2(state: BoundStateLabel, p: float, log_scale: float = 0.0) -> complex:
+    """Closed momentum-space form as printed, times exp(log_scale):
 
         (R/2) sqrt(G(2s-n+1) / (pi (s-n) n!)) |G((s-n-ipR)/2)|^2 / G(s-n)^2
         * 3F2(-n, 2s-n+1, (s-n-ipR)/2; s-n+1, s-n; 1).
     """
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
     q = p * R
-    lpref = (math.log(R / 2.0)
+    lpref = (log_scale + math.log(R / 2.0)
              + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
                       - math.log(sig) - math.lgamma(n + 1))
              - 2.0 * math.lgamma(sig))
@@ -225,22 +225,18 @@ def _momentum_closed_3f2(state: BoundStateLabel, p: float) -> complex:
 
 
 _CALIBRATION_PROBES = (0.45, 0.85, 1.35)  # dimensionless q = p R
-_calibration_cache: dict[tuple, complex] = {}
 
 
 def momentum_calibration(state: BoundStateLabel, spec: QuadratureSpec | None = None) -> complex:
-    """Single constant tying the closed momentum-space form to the numerical
-    transform of psi_bound.
+    """Measured constant tying the printed closed momentum-space form to the
+    numerical transform of psi_bound.
 
     The transform is the ground truth; the constant is measured at the probe
-    wavenumber where the closed form is largest and cached per state.  For
-    this family it comes out p-independent with modulus 1/sqrt(2 R) and sign
-    (-1)^n; verification reports the measured values.
+    wavenumber where the closed form is largest, one quadrature per call.
+    It comes out p-independent and equal to the (-1)^n / sqrt(2 R) that
+    ``psi_momentum`` carries; verification reports the measured values.
     """
     state._require_normalizable()
-    key = (state.n, state.params.mu, state.params.omega, state.params.R)
-    if key in _calibration_cache:
-        return _calibration_cache[key]
     spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     R = state.params.R
     sampler = bound_sampler(state)
@@ -250,15 +246,16 @@ def momentum_calibration(state: BoundStateLabel, spec: QuadratureSpec | None = N
         if mag > best_mag:
             best_q, best_mag = q, mag
     exact = shapiro_forward_1d(sampler, best_q / R, R, spec)
-    const = exact / _momentum_closed_3f2(state, best_q / R)
-    _calibration_cache[key] = const
-    return const
+    return exact / _momentum_closed_3f2(state, best_q / R)
 
 
 def psi_momentum(state: BoundStateLabel, p: float) -> complex:
-    """Momentum-space wavefunction sqrt(R/2pi) * FT of psi_bound, evaluated
-    through the calibrated closed form.  Real for even n, imaginary for odd."""
-    return momentum_calibration(state) * _momentum_closed_3f2(state, p)
+    """Momentum-space wavefunction sqrt(R/2pi) * FT of psi_bound: the closed
+    3F2 form with (-1)^n / sqrt(2R) in its prefactor.  Real for even n,
+    imaginary for odd."""
+    state._require_normalizable()
+    log_scale = -0.5 * math.log(2.0 * state.params.R)
+    return (-1.0) ** state.n * _momentum_closed_3f2(state, p, log_scale)
 
 
 def psi_momentum_hahn(state: BoundStateLabel, p: float) -> complex:

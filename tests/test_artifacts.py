@@ -41,6 +41,17 @@ class TestCsv:
         assert lines[1] == "a"
         assert lines[2] == format_value(1.5)
 
+    def test_bytes_equal_format_value_on_edge_values(self, tmp_path):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                1.7976931348623157e308, 0.1, -0.1, 1.0, -3.0, 2.0 ** 53, 1e16,
+                123456789.0, 1e-16, 1.1102230246251565e-16, -2.220446049250313e-16,
+                9.999999999999999e-17, 1.0000000000000002, 1.0 / 3.0]
+        cols = [np.array(edge), np.array(edge[::-1])]
+        path = emit_csv(tmp_path / "e.csv", ["a", "b"], cols, comments=["edge"])
+        expected = "# edge\na,b\n" + "".join(
+            f"{format_value(a)},{format_value(b)}\n" for a, b in zip(*cols))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_locale_independent_decimal_point(self):
         assert "." in format_value(0.5)
         assert "," not in format_value(1234567.25)

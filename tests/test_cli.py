@@ -138,6 +138,16 @@ class TestWignerCommand:
         w, h, fields, px = read_pgm(tmp_path / "wigner_n0.pgm")
         assert (w, h) == (23, 19)  # reflected quadrant: 2n-1 per axis
         assert int(fields["zero_gray"]) >= 0
+        assert "# evaluator=spectral" in (tmp_path / "wigner_n0.csv").read_text()
+
+    def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        from curvedwigner import wigner
+
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 1.5)
+        rc = main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:12,0:4:10",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert "not certified" in capsys.readouterr().err
 
 
 class TestFigure1:
@@ -186,6 +196,7 @@ class TestVerifyPlumbing:
         assert any(ln.startswith("FAIL") for ln in lines)
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is False
+        assert all(c["data"]["elapsed_s"] >= 0.0 for c in report["criteria"])
 
     def test_negative_control_tightened_tolerance(self):
         # scaling tolerances down by 1e3 must surface failures

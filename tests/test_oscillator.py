@@ -198,6 +198,17 @@ class TestMomentumRepresentation:
                 exact = shapiro_forward_1d(sampler, q, 1.0, TIGHT)
                 assert abs(psi_momentum(state, q) - exact) < 1e-7
 
+    def test_matches_transform_deep_well_large_radius(self):
+        # the folded constant (-1)^n / sqrt(2R) away from s = 4, R = 1
+        R = 2.5
+        params = OscillatorParams.from_depth(30.0, R=R)
+        for n in range(4):
+            state = BoundStateLabel(n, params)
+            sampler = bound_sampler(state)
+            for q in (0.0, 0.7, 3.1, 9.0, 20.0):
+                exact = shapiro_forward_1d(sampler, q / R, R, TIGHT)
+                assert abs(psi_momentum(state, q / R) - exact) < 1e-11
+
     def test_calibration_constant_value(self, s4_states):
         # the printed closed form overshoots by sqrt(2R) with sign (-1)^n
         for state in s4_states:
