@@ -3,8 +3,10 @@ complex integrands on a finite interval.
 
 The integrand must accept a 1-D numpy array and return an array of the same
 shape; panels are refined in batches so each refinement level costs a single
-vectorized call.  Results are deterministic: panel bookkeeping is ordered and
-independent of timing.
+vectorized call.  ``gauss_kronrod_batch`` integrates many integrands in the
+same call, each panel tagged with its integrand; ``adaptive_gauss_kronrod``
+is its batch of one.  Results are deterministic: panel bookkeeping is
+ordered and independent of timing and of the other members of a batch.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import NonconvergenceError
 
-__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod"]
+__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_batch"]
 
 # 15-point Kronrod nodes on [-1, 1]; odd-indexed nodes form the embedded
 # 7-point Gauss rule.
@@ -79,8 +81,8 @@ class QuadratureSpec:
             raise ValueError("max_panels must be at least 1")
 
 
-def adaptive_gauss_kronrod(f, a: float, b: float, spec: QuadratureSpec | None = None,
-                           initial_panels: int = 8):
+def adaptive_gauss_kronrod(f, a, b, spec: QuadratureSpec | None = None,
+                           initial_panels=8):
     """Integrate ``f`` over [a, b]; returns (value, error_estimate).
 
     Panels whose K15/G7 discrepancy already meets a proportional share of the
@@ -89,42 +91,75 @@ def adaptive_gauss_kronrod(f, a: float, b: float, spec: QuadratureSpec | None = 
     Raises NonconvergenceError when the panel budget is exhausted before the
     global error estimate falls under max(abs_tol, rel_tol * |result|).
     """
+    vals, errs = gauss_kronrod_batch(lambda x, _: f(x), [a], [b], spec, [initial_panels])
+    return vals[0], float(errs[0])
+
+
+def gauss_kronrod_batch(f, a, b, spec: QuadratureSpec | None = None, initial_panels=8):
+    """Integrate m integrands at once, the i-th over [a[i], b[i]]; returns
+    arrays (values, error_estimates).
+
+    ``f(x, i)`` evaluates integrand ``i[j]`` at ``x[j]``.  Every panel is
+    tagged with its integrand, which keeps its own banked sum and error,
+    tolerance, per-panel share of that tolerance and ``max_panels`` budget,
+    so each result equals that integrand's solo result (panel sums run in
+    panel order, as in QUADPACK's bookkeeping, Piessens et al. 1983).
+    """
     spec = spec or QuadratureSpec()
-    if b <= a:
-        if b == a:
-            return 0.0 + 0.0j, 0.0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if np.any(b < a):
         raise ValueError("integration bounds must satisfy a <= b")
-    n0 = max(1, int(initial_panels))
-    edges = np.linspace(a, b, n0 + 1)
-    lo, hi = edges[:-1], edges[1:]
-    banked = 0.0 + 0.0j
-    banked_err = 0.0
+    m = len(a)
+    n0 = np.maximum(1, np.broadcast_to(np.asarray(initial_panels, dtype=int), (m,)))
+    owner = np.repeat(np.arange(m), n0)
+    # the edges np.linspace(a, b, n0 + 1) gives, for every integrand at once
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(n0) - n0, n0)
+    step, start = ((b - a) / n0)[owner], a[owner]
+    lo = j * step + start
+    hi = np.where(j + 1 == n0[owner], b[owner], (j + 1) * step + start)
+    banked = np.zeros(m, dtype=complex)
+    banked_err = np.zeros(m)
     n_panels = n0
+    value = np.zeros(m, dtype=complex)
+    error = np.zeros(m)
+
+    def per_owner(w, sel=slice(None)):
+        return np.bincount(owner[sel], weights=w[sel], minlength=m)
+
     while True:
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
         xs = mid[:, None] + hw[:, None] * _XK[None, :]
-        fv = np.asarray(f(xs.ravel())).reshape(xs.shape)
+        fv = np.asarray(f(xs.ravel(), np.repeat(owner, len(_XK)))).reshape(xs.shape)
         k15 = (fv * _WK[None, :]).sum(axis=1) * hw
         g7 = (fv[:, 1::2] * _WG[None, :]).sum(axis=1) * hw
         err = np.abs(k15 - g7)
-        estimate = banked + k15.sum()
-        tol = max(spec.abs_tol, spec.rel_tol * abs(estimate))
-        if banked_err + err.sum() <= tol:
-            return estimate, banked_err + err.sum()
-        per_panel = 0.25 * tol / max(len(lo), 1)
-        done = err <= per_panel
-        banked += k15[done].sum()
-        banked_err += err[done].sum()
-        keep = ~done
+        count = np.bincount(owner, minlength=m)
+        estimate = banked + (per_owner(k15.real) + 1j * per_owner(k15.imag))
+        total_err = banked_err + per_owner(err)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
+        converged = (count > 0) & (total_err <= tol)
+        value[converged], error[converged] = estimate[converged], total_err[converged]
+        open_ = ~converged[owner]
+        done = open_ & (err <= (0.25 * tol / np.maximum(count, 1))[owner])
+        keep = open_ & ~done
+        banked += per_owner(k15.real, done) + 1j * per_owner(k15.imag, done)
+        banked_err += per_owner(err, done)
+        split = np.bincount(owner[keep], minlength=m)
+        exhausted = (count > 0) & ~converged & (split == 0)
+        value[exhausted], error[exhausted] = banked[exhausted], banked_err[exhausted]
         if not keep.any():
-            return banked, banked_err
-        if n_panels + int(keep.sum()) > spec.max_panels:
+            return value, error
+        over = np.flatnonzero((split > 0) & (n_panels + split > spec.max_panels))
+        if over.size:
+            i = over[0]
             raise NonconvergenceError(
                 f"quadrature needed more than {spec.max_panels} panels "
-                f"(error estimate {banked_err + err[keep].sum():.3e})"
+                f"(error estimate {banked_err[i] + err[keep & (owner == i)].sum():.3e})"
             )
-        lo, hi, mid = lo[keep], hi[keep], mid[keep]
+        lo, hi, mid, owner = lo[keep], hi[keep], mid[keep], owner[keep]
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
-        n_panels += int(keep.sum())
+        owner = np.concatenate([owner, owner])
+        n_panels += split

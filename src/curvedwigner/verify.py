@@ -264,7 +264,7 @@ def criterion_contraction(tol_scale: float = 1.0) -> CriterionResult:
         chi_c = pts / math.sqrt(30.0)
         qs_c = pts * math.sqrt(30.0)
         chi_c[0] = 0.0
-        grid = wigner_grid(state, chi_c, qs_c, evaluator="quadrature")
+        grid = wigner_grid(state, chi_c, qs_c)
         flat = np.array([[flat_ho_wigner(n, params30.mu, params30.omega, c, q / params30.R)
                           for q in qs_c] for c in chi_c])
         peak = float(np.max(np.abs(flat)))

@@ -7,7 +7,10 @@ Three routes are provided and must agree:
       W(f, g | chi, p) = (R / 2 pi) * integral dtau
           conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
 
-  by adaptive Gauss-Kronrod panels.  This is the ground truth.
+  by adaptive Gauss-Kronrod panels.  This is the ground truth.  A grid is
+  integrated a chi row at a time: the row's pR points form one batch whose
+  panels are tagged with their point, each keeping its own tolerances and
+  panel budget, so every value equals its per-point result.
 
 * The spectral engine (``wigner_grid``'s default) evaluates a whole grid of
   a bound state at once.  The correlation corr(chi, tau) =
@@ -42,9 +45,11 @@ Three routes are provided and must agree:
 The closed form is exact but cancels catastrophically inside the real part
 for large depth at small chi, so every evaluation tracks the largest
 intermediate magnitude and defers to another route when double precision
-cannot certify the result.  Near q = 0 the formula degenerates (paired
-gamma/hypergeometric poles); values there are reconstructed by even-in-q
-Lagrange interpolation from columns just outside the degenerate strip.
+cannot certify the result.  A grid is evaluated at once: for each (k, k')
+one 2F1 series runs over the whole flattened chi x q block.  Near q = 0 the
+formula degenerates (paired gamma/hypergeometric poles); values there are
+reconstructed by even-in-q Lagrange interpolation from four columns just
+outside the degenerate strip, appended to the same block.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
 from .oscillator import BoundStateLabel, bound_sampler
-from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
+from .quadrature import QuadratureSpec, gauss_kronrod_batch
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import laguerre, log_gamma
 
@@ -85,6 +90,7 @@ GUARD_ABS = 1e-9        # cancellation guard: certified absolute noise
 GUARD_REL = 2e-6        # ... or this relative to the result (the q ~ 0
                         # reconstruction is the accuracy-limiting region)
 _EPS_NOISE = 5e-16      # per-unit-magnitude rounding noise estimate
+_F21_MAX_TERMS = 200_000
 
 _MARGINAL_TAIL_TOL = 1e-5
 
@@ -139,16 +145,23 @@ def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p: float,
                          R: float, spec: QuadratureSpec | None = None) -> complex:
     """Direct correlation-integral Wigner value; complex in general, real up
     to quadrature residue when f and g are the same profile."""
-    spec = spec or QuadratureSpec()
-    q = p * R
+    return _quadrature_row(f, g, chi, np.array([p]), R, spec or QuadratureSpec())[0]
+
+
+def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray,
+                    R: float, spec: QuadratureSpec) -> np.ndarray:
+    """Correlation-integral W at one chi for every momentum in ``ps``: one
+    batched Gauss-Kronrod call whose integrands share the truncation T and
+    keep their own initial panel count and tolerances."""
+    q = ps * R
     T = _pair_truncation(f, g, chi, R, spec)
 
-    def integrand(tau):
-        return np.conj(f(chi - tau / 2.0)) * g(chi + tau / 2.0) * np.exp(-1j * q * tau)
+    def integrand(tau, i):
+        return np.conj(f(chi - tau / 2.0)) * g(chi + tau / 2.0) * np.exp(-1j * q[i] * tau)
 
-    n0 = max(8, int(abs(q) * T / 3.0) + 1)
-    val, _ = adaptive_gauss_kronrod(integrand, -T, T, spec, initial_panels=n0)
-    return R / (2.0 * math.pi) * val
+    n0 = np.maximum(8, (np.abs(q) * T / 3.0).astype(int) + 1)
+    vals, _ = gauss_kronrod_batch(integrand, np.full(len(q), -T), np.full(len(q), T), spec, n0)
+    return R / (2.0 * math.pi) * vals
 
 
 def _pochhammer_real(a: float, k: int) -> float:
@@ -158,100 +171,84 @@ def _pochhammer_real(a: float, k: int) -> float:
     return out
 
 
-def _f21_column(a: float, b: complex, c: complex, x: np.ndarray,
-                max_terms: int = 200_000):
-    """Raw 2F1 series over an array of arguments; returns (sum, max|term|).
+def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray):
+    """Closed-form W over the grid chi x |qs| (chi > 0); returns (values,
+    magnitudes), the largest intermediate magnitude per point feeding the
+    cancellation guard.
 
-    Elements converge at very different rates (the series slows as the
-    argument approaches 1), so converged elements are retired from the
-    working set as the iteration proceeds.
-    """
-    n = len(x)
-    tot = np.empty(n, dtype=complex)
-    big = np.empty(n)
-    idx = np.arange(n)
-    xa = np.asarray(x, dtype=float)
-    term_a = np.ones(n, dtype=complex)
-    tot_a = np.ones(n, dtype=complex)
-    big_a = np.ones(n)
-    j = 0
-    while True:
-        term_a = term_a * ((a + j) * (b + j) / ((c + j) * (j + 1))) * xa
-        tot_a += term_a
-        np.maximum(big_a, np.abs(term_a), out=big_a)
-        j += 1
-        bad = ~np.isfinite(tot_a)
-        done = (np.abs(term_a) <= 1e-17 * np.abs(tot_a)) if j > 8 else bad
-        done = done | bad  # overflow: hand to the cancellation guard
-        if done.any():
-            retire = idx[done]
-            tot[retire] = tot_a[done]
-            big[retire] = big_a[done]
-            keep = ~done
-            if not keep.any():
-                return tot, big
-            idx, xa = idx[keep], xa[keep]
-            term_a, tot_a, big_a = term_a[keep], tot_a[keep], big_a[keep]
-        if j > max_terms:
-            raise NonconvergenceError("closed-form hypergeometric series stalled")
-
-
-def _closed_column_raw(state: BoundStateLabel, chi: np.ndarray, q: float):
-    """Closed-form W for one wavenumber over an array of chi > 0.
-
-    Returns (values, magnitudes): the largest intermediate magnitude per
-    point feeds the cancellation guard.
+    For each (k, k') one 2F1 series runs over the flattened chi x q block;
+    elements converge at very different rates (the series slows as
+    exp(-4 chi) approaches 1), so converged ones are retired as the
+    iteration proceeds.  Direct evaluation degrades like eps / q^2 as the
+    paired gamma / hypergeometric poles at q = 0 are approached, so below
+    Q_EXTRAP the even analytic function W(q) is reconstructed by Lagrange
+    interpolation in q^2 through four columns at (1, 2, 3, 4) Q_EXTRAP,
+    appended to the block (exact at the branch point, so the two regions
+    join continuously).
     """
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
+    qs = np.abs(qs)
+    near = qs < Q_EXTRAP
+    nodes = Q_EXTRAP * np.arange(1.0, 5.0) if near.any() else np.empty(0)
+    cols = np.concatenate([qs[~near], nodes])
     lgB2 = (math.log(sig) + math.lgamma(2.0 * s - n + 1.0)
             - math.log(4.0) - math.lgamma(n + 1) - 2.0 * math.lgamma(sig + 1.0))
-    x = np.exp(-4.0 * chi)
     gamma_coef = [
         _pochhammer_real(-n, k) * _pochhammer_real(2.0 * s - n + 1.0, k)
         / (_pochhammer_real(sig + 1.0, k) * math.factorial(k))
         for k in range(n + 1)
     ]
-    total = np.zeros(len(chi), dtype=complex)
-    big = np.zeros(len(chi))
+    c_flat, q_flat = np.repeat(chi, len(cols)), np.tile(cols, len(chi))
+    x = np.exp(-4.0 * c_flat)
+    total = np.zeros(len(x), dtype=complex)
+    big = np.zeros(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n + 1):
             for kp in range(n + 1):
-                lg = (lgB2
-                      + log_gamma(kp - k + 1j * q) + log_gamma(sig + k - 1j * q)
-                      - math.lgamma(sig + kp))
+                lg = np.array([lgB2 + log_gamma(kp - k + 1j * q) + log_gamma(sig + k - 1j * q)
+                               - math.lgamma(sig + kp) for q in cols])
                 pref = gamma_coef[k] * gamma_coef[kp] * np.exp(
-                    lg - 2.0 * chi * (sig + 2.0 * k) + 2.0j * q * chi)
-                F, bigF = _f21_column(sig + k, sig + k - 1j * q, 1.0 + k - kp - 1j * q, x)
+                    np.tile(lg, len(chi)) - 2.0 * c_flat * (sig + 2.0 * k)
+                    + 2.0j * q_flat * c_flat)
+                a, b, c = sig + k, sig + k - 1j * q_flat, 1.0 + k - kp - 1j * q_flat
+                F = np.empty(len(x), dtype=complex)
+                bigF = np.empty(len(x))
+                idx, xa = np.arange(len(x)), x
+                term_a = np.ones(len(x), dtype=complex)
+                tot_a = np.ones(len(x), dtype=complex)
+                big_a = np.ones(len(x))
+                j = 0
+                while idx.size:
+                    term_a = term_a * ((a + j) * (b + j) / ((c + j) * (j + 1))) * xa
+                    tot_a += term_a
+                    np.maximum(big_a, np.abs(term_a), out=big_a)
+                    j += 1
+                    bad = ~np.isfinite(tot_a)  # overflow: hand to the guard
+                    done = (np.abs(term_a) <= 1e-17 * np.abs(tot_a)) | bad if j > 8 else bad
+                    if done.any():
+                        F[idx[done]], bigF[idx[done]] = tot_a[done], big_a[done]
+                        keep = ~done
+                        idx, xa, b, c = idx[keep], xa[keep], b[keep], c[keep]
+                        term_a, tot_a, big_a = term_a[keep], tot_a[keep], big_a[keep]
+                    if idx.size and j > _F21_MAX_TERMS:
+                        raise NonconvergenceError("closed-form hypergeometric series stalled")
                 total += pref * F
                 np.maximum(big, np.abs(pref) * bigF, out=big)
     scale = 4.0 * R / math.pi
-    return scale * total.real, scale * big
-
-
-def _closed_column(state: BoundStateLabel, chi: np.ndarray, q: float):
-    """Closed-form column including the even-in-q extrapolation near q = 0.
-
-    Direct evaluation degrades like eps / q^2 as the paired gamma /
-    hypergeometric poles at q = 0 are approached, so below Q_EXTRAP the even
-    analytic function W(q) is reconstructed by Lagrange interpolation in q^2
-    through four columns at (1, 2, 3, 4) Q_EXTRAP (exact at the branch
-    point, so the two regions join continuously).
-    """
-    if abs(q) >= Q_EXTRAP:
-        return _closed_column_raw(state, chi, abs(q))
-    nodes = [(j * Q_EXTRAP) ** 2 for j in (1, 2, 3, 4)]
-    cols = [_closed_column_raw(state, chi, j * Q_EXTRAP) for j in (1, 2, 3, 4)]
-    t = q * q
-    out = np.zeros_like(cols[0][0])
-    big = cols[0][1]
-    for i, (vals, mags) in enumerate(cols):
-        weight = 1.0
-        for j, xj in enumerate(nodes):
-            if j != i:
-                weight *= (t - xj) / (nodes[i] - xj)
-        out += weight * vals
-        big = np.maximum(big, mags)
-    return out, big
+    block_v = (scale * total.real).reshape(len(chi), len(cols))
+    block_m = (scale * big).reshape(len(chi), len(cols))
+    values = np.empty((len(chi), len(qs)))
+    mags = np.empty((len(chi), len(qs)))
+    m = len(cols) - len(nodes)
+    values[:, ~near], mags[:, ~near] = block_v[:, :m], block_m[:, :m]
+    t_nodes = nodes * nodes
+    for j in np.flatnonzero(near):
+        values[:, j] = 0.0
+        for i, ti in enumerate(t_nodes):
+            weight = np.prod([(qs[j] * qs[j] - tl) / (ti - tl) for tl in t_nodes if tl != ti])
+            values[:, j] += weight * block_v[:, m + i]
+        mags[:, j] = block_m[:, m:].max(axis=1)
+    return values, mags
 
 
 def _guard_ok(values: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
@@ -272,13 +269,14 @@ def wigner_pt_closed(state: BoundStateLabel, chi: float, p: float,
     chi = abs(chi)
     q = abs(p * state.params.R)
     if chi >= CHI_MIN:
-        vals, bigs = _closed_column(state, np.array([chi]), q)
-        if _guard_ok(vals, bigs)[0]:
-            return float(vals[0])
+        vals, bigs = _closed_grid(state, np.array([chi]), np.array([q]))
+        val, big = vals[0, 0], bigs[0, 0]
+        if _guard_ok(val, big):
+            return float(val)
         if not fallback:
             raise PrecisionLossError(
                 f"closed form cancels beyond double precision at chi={chi}, pR={q} "
-                f"(magnitude ratio {bigs[0] / max(abs(vals[0]), 1e-300):.2e})")
+                f"(magnitude ratio {big / max(abs(val), 1e-300):.2e})")
     elif not fallback:
         raise PrecisionLossError(f"closed form not evaluated below chi={CHI_MIN}")
     f = bound_sampler(state)
@@ -339,9 +337,11 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
     """Evaluate W(psi_n | chi, p) on the product grid chi_axis x pR_axis.
 
     ``spectral`` is the certified engine.  ``closed_form`` evaluates the
-    closed form column by column; rows below CHI_MIN and points its
-    cancellation guard rejects are taken from the engine grid and counted in
-    ``fallback_points``.  ``quadrature`` integrates every point adaptively.
+    closed form over all rows at or above CHI_MIN at once; rows below
+    CHI_MIN and points its cancellation guard rejects are taken from the
+    engine grid and counted in ``fallback_points``.  ``quadrature`` runs one
+    batched adaptive Gauss-Kronrod per chi row, equal point by point to
+    ``wigner_quadrature_1d``.
     """
     if evaluator not in EVALUATORS:
         raise ValueError(f"evaluator must be one of {EVALUATORS}")
@@ -352,19 +352,18 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
     if evaluator == "quadrature":
         f = bound_sampler(state)
         R = state.params.R
-        vals = np.array([[wigner_quadrature_1d(f, f, float(c), float(q) / R, R, spec)
-                          for q in qs] for c in chi], dtype=complex)
+        vals = np.array([_quadrature_row(f, f, float(c), qs / R, R, spec) for c in chi])
         values = vals.real
         imag = float(np.max(np.abs(vals.imag), initial=0.0))
     else:
         values, discrepancy = _spectral_values(state, chi, qs, spec)
     if evaluator == "closed_form":
-        direct = np.flatnonzero(chi >= CHI_MIN)
+        direct = chi >= CHI_MIN
         n_fb = values.size
-        for j, q in enumerate(qs if direct.size else ()):
-            vals, bigs = _closed_column(state, chi[direct], float(q))
+        if direct.any():
+            vals, bigs = _closed_grid(state, chi[direct], qs)
             ok = _guard_ok(vals, bigs)
-            values[direct[ok], j] = vals[ok]
+            values[direct] = np.where(ok, vals, values[direct])
             n_fb -= int(ok.sum())
     meta = {"n": state.n, "s": state.s, "R": state.params.R}
     return WignerGrid(chi, qs, values, evaluator, meta, max_imag_residue=imag,
@@ -442,7 +441,7 @@ class ContractionReport:
 
 def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
                        points: int = 13, scaled_extent: float = 3.0,
-                       evaluator: str = "quadrature",
+                       evaluator: str = "spectral",
                        spec: QuadratureSpec | None = None) -> ContractionReport:
     """Compare W(psi_n^s) against the flat Laguerre-Gaussian reference on the
     scaled grid (chi sqrt(s), pR / sqrt(s)) in [0, scaled_extent]^2.

@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from curvedwigner.errors import NonconvergenceError
-from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
+from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod, gauss_kronrod_batch
 
 
 def test_gaussian_integral():
@@ -53,3 +53,48 @@ def test_spec_validation():
         QuadratureSpec(max_panels=0)
     with pytest.raises(ValueError):
         adaptive_gauss_kronrod(lambda x: x, 1.0, 0.0)
+
+
+class TestBatch:
+    # wavenumbers and scales chosen so the integrands need different
+    # refinement depths and sit at very different magnitudes
+    K = np.array([0.5, 3.0, 20.0, 60.0, 1.0])
+    SCALE = np.array([1.0, 1e-6, 1e3, 1.0, 1e-12])
+    A = np.array([-8.0, -8.0, -6.0, -8.0, 0.0])
+    B = np.array([8.0, 7.0, 8.0, 8.0, 2.0])
+    N0 = np.array([8, 8, 3, 20, 1])
+
+    def f(self, x, i):
+        return self.SCALE[i] * (np.exp(-x * x) * np.cos(self.K[i] * x)
+                                + 1j * np.sin(self.K[i] * x) / (1.0 + x * x))
+
+    def test_each_result_equals_its_solo_result(self):
+        vals, errs = gauss_kronrod_batch(self.f, self.A, self.B, None, self.N0)
+        depths = set()
+        for i in range(len(self.K)):
+            calls = []
+
+            def solo(x, i=i):
+                calls.append(x.size)
+                return self.f(x, np.full(x.shape, i))
+
+            val, err = adaptive_gauss_kronrod(solo, self.A[i], self.B[i], None, self.N0[i])
+            depths.add(len(calls))
+            assert val == vals[i] and err == errs[i]  # bit-identical
+        assert len(depths) > 2
+
+    def test_one_exhausted_budget_raises(self):
+        spec = QuadratureSpec(max_panels=256)
+        # the k = 60 integrand alone needs more than 256 panels
+        rest = [0, 1, 2, 4]
+
+        def f_rest(x, i):
+            return self.f(x, np.asarray(rest)[i])
+
+        vals, _ = gauss_kronrod_batch(f_rest, self.A[rest], self.B[rest], spec, self.N0[rest])
+        assert np.all(np.isfinite(vals))
+        with pytest.raises(NonconvergenceError):
+            gauss_kronrod_batch(self.f, self.A, self.B, spec, self.N0)
+        with pytest.raises(NonconvergenceError):
+            adaptive_gauss_kronrod(lambda x: self.f(x, np.full(x.shape, 3)),
+                                   self.A[3], self.B[3], spec, self.N0[3])

@@ -211,6 +211,50 @@ class TestSpectralEngine:
             wigner_grid(s4_states[1], chi, qs)
 
 
+class TestGridRoutesMatchPointRoutes:
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_quadrature_grid_equals_per_point(self, s):
+        # one batched Gauss-Kronrod per chi row gives each point's solo result
+        params = OscillatorParams.from_depth(s, R=1.3)
+        chi, qs = figure1_axes(s, 5)
+        for n in (0, 3):
+            state = BoundStateLabel(n, params)
+            f = bound_sampler(state)
+            grid = wigner_grid(state, chi, qs, evaluator="quadrature")
+            ref = np.array([[wigner_quadrature_1d(f, f, c, q / params.R, params.R).real
+                             for q in qs] for c in chi])
+            assert np.array_equal(grid.values, ref)
+
+    def test_closed_grid_equals_per_point(self, s4_states):
+        # pR = 0, inside the even-in-q interpolation strip, and beyond it
+        chi = np.array([0.1, 0.4, 1.3])
+        qs = np.array([0.0, 0.5 * wigner.Q_EXTRAP, wigner.Q_EXTRAP, 0.4, 3.0])
+        for state in s4_states:
+            grid = wigner_grid(state, chi, qs, evaluator="closed_form")
+            ref = np.array([[wigner_pt_closed(state, c, q, fallback=False) for q in qs]
+                            for c in chi])
+            assert grid.fallback_points == 0
+            assert np.array_equal(grid.values, ref)
+
+    def test_closed_grid_counts_every_fallback(self):
+        state = BoundStateLabel(0, OscillatorParams.from_depth(30.0))
+        chi = np.array([0.0, 0.02, 0.1, 0.3, 0.6, 1.2])
+        qs = np.array([0.0, 0.01, 0.5, 2.0, 6.0])
+        grid = wigner_grid(state, chi, qs, evaluator="closed_form")
+        engine = wigner_grid(state, chi, qs).values
+        expected = np.array(engine)
+        rejected = 0
+        for i, c in enumerate(chi[chi >= wigner.CHI_MIN], start=int(np.sum(chi < wigner.CHI_MIN))):
+            for j, q in enumerate(qs):
+                try:
+                    expected[i, j] = wigner_pt_closed(state, c, q, fallback=False)
+                except PrecisionLossError:
+                    rejected += 1
+        assert 0 < rejected < 4 * len(qs)  # the guard accepts some points, rejects others
+        assert grid.fallback_points == rejected + len(qs) * int(np.sum(chi < wigner.CHI_MIN))
+        assert np.array_equal(grid.values, expected)
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="the closed form's cancellation guard accepts points whose error "
