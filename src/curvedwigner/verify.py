@@ -285,57 +285,57 @@ def criterion_contraction(tol_scale: float = 1.0) -> CriterionResult:
 
 
 def criterion_geometry(tol_scale: float = 1.0) -> CriterionResult:
-    """Geodesic-midpoint identities and round-trips to 1e-12 R^2 on 1e4
-    random inputs; boost covariance of the basis pointwise to 1e-10 for
-    D in {1, 2}."""
+    """Geodesic-midpoint identities, round-trips and boost shells to
+    1e-12 R^2 on 1e4 random inputs with D uniform in {1, 2, 3}; boost
+    covariance of the basis pointwise to 1e-10 on 200 inputs with D in
+    {1, 2}.  The inputs of each D are drawn as one block and checked as one
+    batch, every member through every shell and orthogonality check."""
     rng = np.random.default_rng(20240811)
     R = 1.7
     tol_mid = 1e-12 * R * R * tol_scale
     tol_cov = 1e-10 * tol_scale
+
+    def unit_rows(n, D):
+        v = rng.normal(size=(n, D))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    def points(n, D):
+        return ambient_from_angle(HyperbolicAngleCoord(rng.uniform(0.0, 2.0, n), unit_rows(n, D)), R)
+
+    def worst(*devs):
+        return max(float(np.max(np.abs(d))) for d in devs)
+
+    dims = rng.integers(1, 4, size=10_000)
     worst_mid = worst_rt = worst_boost = 0.0
-    for _ in range(10_000):
-        D = int(rng.integers(1, 4))
-        chi = float(rng.uniform(0.0, 2.0))
-        xi = rng.normal(size=D)
-        xi /= np.linalg.norm(xi)
-        x = ambient_from_angle(HyperbolicAngleCoord(chi, xi), R)
+    for D in (1, 2, 3):
+        n = int(np.count_nonzero(dims == D))
+        x = points(n, D)
         # random spacelike y Minkowski-orthogonal to x
-        w = rng.normal(size=D)
-        y0 = float(np.dot(w, x.xs)) / x.x0
-        y = AmbientVector(y0, w)
-        norm2 = y.minkowski_dot(y)  # negative by construction
-        y = AmbientVector(y.x0 * R / math.sqrt(-norm2), y.xs * R / math.sqrt(-norm2))
-        tau = float(rng.uniform(-3.0, 3.0))
+        w = rng.normal(size=(n, D))
+        y = AmbientVector(np.sum(w * x.xs, axis=1) / x.x0, w)
+        scale = R / np.sqrt(-y.minkowski_dot(y))  # norm^2 negative by construction
+        y = AmbientVector(y.x0 * scale, y.xs * scale[:, None])
+        tau = rng.uniform(-3.0, 3.0, n)
         xp, xpp = geodesic_pair(x, y, tau)
-        worst_mid = max(
-            worst_mid,
-            abs(xp.minkowski_dot(xpp) - R * R * math.cosh(tau)),
-            abs(x.minkowski_dot(xp) - R * R * math.cosh(tau / 2.0)),
-            abs(x.minkowski_dot(xpp) - R * R * math.cosh(tau / 2.0)),
-            abs(xp.minkowski_dot(xp) - R * R),
-            abs(xpp.minkowski_dot(xpp) - R * R),
-        )
+        worst_mid = max(worst_mid, worst(
+            xp.minkowski_dot(xpp) - R * R * np.cosh(tau),
+            x.minkowski_dot(xp) - R * R * np.cosh(tau / 2.0),
+            x.minkowski_dot(xpp) - R * R * np.cosh(tau / 2.0),
+            xp.minkowski_dot(xp) - R * R,
+            xpp.minkowski_dot(xpp) - R * R))
         mid = binding_delta_midpoint(xp, xpp, R)
-        worst_rt = max(worst_rt, abs(mid.x0 - x.x0) * R,
-                       float(np.max(np.abs(mid.xs - x.xs))) * R)
-        mvec = rng.normal(size=D)
-        mvec /= np.linalg.norm(mvec)
-        bx = boost_point(BoostParams(mvec, float(rng.uniform(-2.5, 2.5))), x)
-        worst_boost = max(worst_boost, abs(bx.minkowski_dot(bx) - R * R))
+        worst_rt = max(worst_rt, worst(mid.x0 - x.x0, mid.xs - x.xs) * R)
+        bx = boost_point(BoostParams(unit_rows(n, D), rng.uniform(-2.5, 2.5, n)), x)
+        worst_boost = max(worst_boost, worst(bx.minkowski_dot(bx) - R * R))
+    dims = rng.integers(1, 3, size=200)
     worst_cov = 0.0
-    for _ in range(200):
-        D = int(rng.integers(1, 3))
-        chi = float(rng.uniform(0.0, 2.0))
-        xi = rng.normal(size=D)
-        xi /= np.linalg.norm(xi)
-        x = ambient_from_angle(HyperbolicAngleCoord(chi, xi), R)
-        nvec = rng.normal(size=D)
-        nvec /= np.linalg.norm(nvec)
-        mvec = rng.normal(size=D)
-        mvec /= np.linalg.norm(mvec)
-        mom = MomentumLabel(float(rng.uniform(0.1, 3.0)), nvec)
-        b = BoostParams(mvec, float(rng.uniform(-2.0, 2.0)))
-        worst_cov = max(worst_cov, shapiro_covariance_check(D, mom, x, b))
+    for D in (1, 2):
+        n = int(np.count_nonzero(dims == D))
+        x = points(n, D)
+        nvec, mvec = unit_rows(n, D), unit_rows(n, D)
+        mom = MomentumLabel(rng.uniform(0.1, 3.0, n), nvec)
+        b = BoostParams(mvec, rng.uniform(-2.0, 2.0, n))
+        worst_cov = max(worst_cov, worst(shapiro_covariance_check(D, mom, x, b)))
     passed = (worst_mid <= tol_mid and worst_rt <= tol_mid
               and worst_boost <= tol_mid and worst_cov <= tol_cov)
     return CriterionResult(
@@ -381,10 +381,10 @@ def criterion_momentum_calibration(tol_scale: float = 1.0) -> CriterionResult:
         c = momentum_calibration(state)
         constants[state.n] = {"re": c.real, "im": c.imag, "abs": abs(c),
                               "abs_times_sqrt2R": abs(c) * math.sqrt(2.0 * R)}
-        sampler = bound_sampler(state)
-        for q in np.linspace(0.0, 8.0, 33):
-            exact = shapiro_forward_1d(sampler, q / R, R, spec)
-            worst = max(worst, abs(psi_momentum(state, q / R) - exact))
+        qs = np.linspace(0.0, 8.0, 33)
+        exact = shapiro_forward_1d(bound_sampler(state), qs / R, R, spec)
+        for q, val in zip(qs, exact):
+            worst = max(worst, abs(psi_momentum(state, q / R) - val))
     passed = worst <= tol
     return CriterionResult(
         "momentum_calibration", passed,

@@ -205,3 +205,12 @@ class TestVerifyPlumbing:
         nominal = criterion_special_functions(1.0)
         tightened = criterion_special_functions(1e-3)
         assert nominal.passed and not tightened.passed
+
+    def test_negative_control_geometry(self):
+        # the batched geometry checks compare real deviations, not zeros
+        from curvedwigner.verify import criterion_geometry
+
+        nominal = criterion_geometry(1.0)
+        tightened = criterion_geometry(1e-3)
+        assert nominal.passed and not tightened.passed
+        assert tightened.data == nominal.data

@@ -44,6 +44,30 @@ def _random_orthogonal_spacelike(rng, x, R):
     return AmbientVector(y.x0 * scale, y.xs * scale)
 
 
+def _unit_rows(rng, n, D):
+    v = rng.normal(size=(n, D))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _random_batch(rng, n, D, R):
+    """n random points on the R sheet and, for each, a spacelike unit-R
+    direction Minkowski-orthogonal to it; also returns the angles."""
+    chi, xi = rng.uniform(0.0, 2.0, n), _unit_rows(rng, n, D)
+    x = ambient_from_angle(HyperbolicAngleCoord(chi, xi), R)
+    w = rng.normal(size=(n, D))
+    y = AmbientVector(np.sum(w * x.xs, axis=1) / x.x0, w)
+    scale = R / np.sqrt(-y.minkowski_dot(y))
+    return x, AmbientVector(y.x0 * scale, y.xs * scale[:, None]), chi, xi
+
+
+def _member(v, i):
+    return AmbientVector(v.x0[i], v.xs[i])
+
+
+def _same(batch, i, solo):
+    assert batch.x0[i] == solo.x0 and np.array_equal(batch.xs[i], solo.xs)
+
+
 class TestShells:
     def test_classification(self):
         R = 2.0
@@ -306,6 +330,105 @@ class TestCovariance:
             assert dev < 1e-10
 
 
+class TestBatches:
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_members_equal_solo_calls(self, D):
+        rng = np.random.default_rng(100 + D)
+        R, n = 1.7, 40
+        x, y, chi, xi = _random_batch(rng, n, D, R)
+        tau = rng.uniform(-3.0, 3.0, n)
+        m, zeta = _unit_rows(rng, n, D), rng.uniform(-2.5, 2.5, n)
+        nvec, p = _unit_rows(rng, n, D), rng.uniform(0.1, 3.0, n)
+        b, mom = BoostParams(m, zeta), MomentumLabel(p, nvec)
+        one_boost = BoostParams(m[0], zeta[0])
+        off = AmbientVector(x.x0 * (1 + 1e-7), x.xs * (1 + 1e-7))
+
+        xp, xpp = geodesic_pair(x, y, tau)
+        mid = binding_delta_midpoint(xp, xpp, R)
+        bx, bx_one = boost_point(b, x), boost_point(one_boost, x)
+        n_new, mu = boost_direction(b, nvec)
+        angle = hyperbolic_angle(x, R)
+        phi = shapiro_phi(D, mom, x, R)
+        cov = shapiro_covariance_check(D, mom, x, b)
+        dots, kinds = x.minkowski_dot(y), y.shell_kind(R)
+        projected = off.project_timelike(R)
+        for i in range(n):
+            x1, y1 = ambient_from_angle(HyperbolicAngleCoord(chi[i], xi[i]), R), _member(y, i)
+            _same(x, i, x1)
+            xp1, xpp1 = geodesic_pair(x1, y1, tau[i])
+            _same(xp, i, xp1)
+            _same(xpp, i, xpp1)
+            _same(mid, i, binding_delta_midpoint(xp1, xpp1, R))
+            b1, mom1 = BoostParams(m[i], zeta[i]), MomentumLabel(p[i], nvec[i])
+            _same(bx, i, boost_point(b1, x1))
+            _same(bx_one, i, boost_point(one_boost, x1))
+            n1, mu1 = boost_direction(b1, nvec[i])
+            assert mu[i] == mu1 and np.array_equal(n_new[i], n1)
+            a1 = hyperbolic_angle(x1, R)
+            assert angle.chi[i] == a1.chi and np.array_equal(angle.xi[i], a1.xi)
+            assert phi[i] == shapiro_phi(D, mom1, x1, R)
+            assert cov[i] == shapiro_covariance_check(D, mom1, x1, b1)
+            assert dots[i] == x1.minkowski_dot(y1)
+            assert kinds[i] == y1.shell_kind(R) == "spacelike"
+            _same(projected, i, _member(off, i).project_timelike(R))
+            if D == 1:
+                assert fold_angle_1d(x, R)[i] == fold_angle_1d(x1, R)
+                assert fold_momentum_1d(mom)[i] == fold_momentum_1d(mom1)
+
+    def test_single_point_keeps_scalar_types(self):
+        R = 1.3
+        x = ambient_from_angle(HyperbolicAngleCoord(0.4, np.array([0.6, 0.8])), R)
+        mom = MomentumLabel(1.1, np.array([1.0, 0.0]))
+        b = BoostParams(np.array([0.0, 1.0]), 0.7)
+        assert type(x.x0) is float and x.xs.shape == (2,)
+        assert type(x.minkowski_dot(x)) is float
+        assert type(shapiro_phi(2, mom, x, R)) is complex
+        assert type(shapiro_covariance_check(2, mom, x, b)) is float
+        assert type(boost_direction(b, mom.n)[1]) is float
+        assert type(hyperbolic_angle(x, R).chi) is float
+        assert type(x.shell_kind(R)) is str
+        assert boost_point(b, x).xs.shape == (2,)
+
+    def test_off_shell_member_named(self):
+        rng = np.random.default_rng(5)
+        x, _, _, _ = _random_batch(rng, 6, 2, 1.0)
+        x0 = x.x0.copy()
+        x0[3] *= 1.01
+        bad = AmbientVector(x0, x.xs)
+        mom = MomentumLabel(1.0, np.array([1.0, 0.0]))
+        with pytest.raises(OffShellError, match=r"^x \(batch member 3\) is not timelike"):
+            shapiro_phi(2, mom, bad, 1.0)
+        with pytest.raises(OffShellError, match=r"x' \(batch member 3\)"):
+            binding_delta_midpoint(bad, x, 1.0)
+        with pytest.raises(OffShellError) as solo:
+            shapiro_phi(2, mom, AmbientVector(x0[3], x.xs[3]), 1.0)
+        assert "batch member" not in str(solo.value)
+
+    def test_non_orthogonal_member_named(self):
+        rng = np.random.default_rng(9)
+        x, y, _, _ = _random_batch(rng, 7, 1, 1.0)
+        y0, ys = y.x0.copy(), y.xs.copy()
+        y0[4], ys[4] = math.sinh(0.9), [math.cosh(0.9)]  # on the spacelike shell
+        with pytest.raises(OffShellError, match=r"orthogonal \(batch member 4\)"):
+            geodesic_pair(x, AmbientVector(y0, ys), np.full(7, 0.5))
+
+    def test_bad_member_of_labels_named(self):
+        n = np.tile([0.6, 0.8], (5, 1))
+        n[2] *= 1.001
+        with pytest.raises(ValueError, match=r"unit vector.*batch member 2"):
+            MomentumLabel(np.ones(5), n)
+        with pytest.raises(ValueError, match=r"unit vector.*batch member 2"):
+            BoostParams(n, np.zeros(5))
+        with pytest.raises(ValueError, match=r"non-negative \(batch member 1\)"):
+            MomentumLabel(np.array([1.0, -1.0, 2.0]), np.tile([1.0], (3, 1)))
+        xs = np.ones((4, 1))
+        xs[3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"finite \(batch member 3\)"):
+            AmbientVector(np.full(4, 2.0), xs)
+        with pytest.raises(ValueError):
+            AmbientVector(np.full(3, 2.0), np.ones((4, 1)))
+
+
 class TestBargmann:
     def test_identity_and_fixed_point(self):
         assert bargmann_angle(0.0, 1.234) == pytest.approx(1.234, rel=1e-15)
@@ -344,22 +467,29 @@ class TestShapiroTransform1D:
         assert abs(val.imag) < 1e-13
         assert expected == pytest.approx(0.5563, abs=5e-5)
 
+    def test_batch_equals_solo_calls(self, s4_params):
+        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+        sampler = bound_sampler(BoundStateLabel(1, s4_params))
+        ps = np.array([-3.7, -0.4, 0.0, 0.25, 2.0, 6.5])
+        batch = shapiro_forward_1d(sampler, ps, 1.3, spec)
+        assert batch.shape == ps.shape
+        for p, val in zip(ps, batch):
+            solo = shapiro_forward_1d(sampler, float(p), 1.3, spec)
+            assert isinstance(solo, complex) and solo == val
+
     def test_parseval_r_one(self):
         f = gaussian_sampler(width=0.8, center=0.4)
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
         pos, _ = adaptive_gauss_kronrod(lambda u: np.abs(f(u)) ** 2, -12.0, 12.0, spec)
         mom, _ = adaptive_gauss_kronrod(
-            lambda ps: np.array([abs(shapiro_forward_1d(f, float(p), 1.0, spec)) ** 2
-                                 for p in np.atleast_1d(ps)]),
-            -14.0, 14.0, spec)
+            lambda ps: np.abs(shapiro_forward_1d(f, ps, 1.0, spec)) ** 2, -14.0, 14.0, spec)
         assert mom.real == pytest.approx(pos.real, abs=1e-8)
 
     def test_round_trip(self):
         f = gaussian_sampler(width=1.0)
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
         ftilde = FieldSampler(
-            func=lambda ps: np.array([shapiro_forward_1d(f, float(p), 1.0, spec)
-                                      for p in np.atleast_1d(ps)]),
+            func=lambda ps: shapiro_forward_1d(f, ps, 1.0, spec),
             envelope=DecayEnvelope(amplitude=1.0, rate=2.5))
         for chi in (0.0, 0.6, -1.2):
             back = shapiro_inverse_1d(ftilde, chi, 1.0, spec)
