@@ -4,6 +4,11 @@ checksummed run manifest.
 Identical inputs must produce byte-identical files, so every number is
 formatted with repr-faithful precision (17 significant digits), no
 timestamps are recorded, and JSON keys are sorted.
+
+Both CSV routes share one writer and convert each value they are given to
+text once: a column is formatted in a single pass, and a grid file formats
+each chi and each pR axis value once per file (not once per point) beside
+one conversion per W value, then joins the strings row by row.
 """
 
 from __future__ import annotations
@@ -35,38 +40,48 @@ def format_value(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _format_column(values) -> list[str]:
+    """format_value of every entry, byte for byte, in one pass."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("CSV data must be finite")
+    return [format(v, ".17g") for v in values.tolist()]
+
+
+def _write_csv(path: Path, column_names, text_columns, comments) -> Path:
+    """The one CSV writer: '#'-prefixed comment lines, one header row, then
+    equal-length columns of formatted numbers joined row by row."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(column_names))
+    lines += map(",".join, zip(*text_columns))
+    lines.append("")  # trailing newline
+    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    return path
+
+
 def emit_csv(path, column_names, columns, comments=()) -> Path:
     """Write columns (equal-length sequences) as comma-separated UTF-8 with
     one header row; '#'-prefixed comment lines may precede the header."""
-    path = Path(path)
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(column_names) or not cols:
         raise ValueError("need one name per column")
     length = len(cols[0])
     if any(len(c) != length for c in cols):
         raise ValueError("columns must have equal length")
-    if not all(np.isfinite(c).all() for c in cols):
-        raise ValueError("CSV data must be finite")
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(column_names))
-    # "%.17g" % x is format_value(x) byte for byte, one format call per row
-    row_format = ",".join(["%.17g"] * len(cols))
-    lines += [row_format % row for row in zip(*(c.tolist() for c in cols))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return path
+    return _write_csv(Path(path), column_names, [_format_column(c) for c in cols], comments)
 
 
 def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
     """Grid values in row-major chi-outer order with axis columns
     (chi dimensionless, pR dimensionless, W in units of 1/(R dchi dp))."""
     nc, nq = grid.values.shape
-    chi = np.repeat(grid.chi_axis, nq)
-    q = np.tile(grid.pR_axis, nc)
-    w = grid.values.reshape(-1)
+    chi = [c for c in _format_column(grid.chi_axis) for _ in range(nq)]
+    q = _format_column(grid.pR_axis) * nc
+    w = _format_column(grid.values.reshape(-1))
     meta = [f"evaluator={grid.evaluator_tag}",
             f"n={grid.state_meta.get('n')} s={format_value(grid.state_meta.get('s'))} "
             f"R={format_value(grid.state_meta.get('R'))}"]
-    return emit_csv(path, ["chi", "pR", "W"], [chi, q, w], list(comments) + meta)
+    return _write_csv(Path(path), ["chi", "pR", "W"], [chi, q, w], list(comments) + meta)
 
 
 def read_csv(path):

@@ -111,7 +111,8 @@ def _unit(vec, what: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+# The value classes below hold arrays, so == and hash() go by identity (eq=False).
+@dataclass(frozen=True, eq=False)
 class AmbientVector:
     """A (D+1)-component Minkowski vector (x0, xs), or a batch of them with
     x0 of shape (N,) and xs of shape (N, D)."""
@@ -174,7 +175,7 @@ def _require_shell(x: AmbientVector, radius, kind: str, what: str,
                             f"(Minkowski norm^2 = {at(norm2)!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicAngleCoord:
     """Polar coordinates on the upper sheet: x0 = R cosh(chi),
     xs = R xi sinh(chi)."""
@@ -187,7 +188,7 @@ class HyperbolicAngleCoord:
         object.__setattr__(self, "xi", _unit(self.xi, "xi"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentumLabel:
     """Wavenumber magnitude p >= 0 and a unit direction on S^{D-1}."""
 
@@ -205,7 +206,7 @@ class MomentumLabel:
         return self.n.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoostParams:
     """Hyperbolic translation: direction m on S^{D-1} and rapidity zeta."""
 

@@ -66,6 +66,10 @@ class CriterionResult:
     detail: str
     data: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a NumPy bool verdict would reach the JSON report as 1.0/0.0
+        self.passed = bool(self.passed)
+
     @property
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"

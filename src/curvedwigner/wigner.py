@@ -95,7 +95,8 @@ _F21_MAX_TERMS = 200_000
 _MARGINAL_TAIL_TOL = 1e-5
 
 
-@dataclass(frozen=True)
+# eq=False: the fields hold arrays, so == and hash() go by identity.
+@dataclass(frozen=True, eq=False)
 class WignerGrid:
     """Rectangular quadrant sample of W over (chi, pR), chi down the rows."""
 

@@ -64,6 +64,31 @@ class TestCsv:
         assert list(cols[0]) == [0.0, 0.0, 1.0, 1.0]  # chi varies slowest
         assert list(cols[2]) == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("chi, pR, values", [
+        ([-0.0, 5e-324, 1.0 / 3.0],
+         [-1e308, -1.5, 0.0, 1e-5, 1.5e22],
+         [[-0.0, 0.0, 5e-324, -5e-324, 1e308],
+          [1.0 / 3.0, -1.0 / 3.0, 1e-5, 1.5e22, 2.0 ** -40],
+          [1e16, 123456789.0, 1e-300, 0.1, -2.220446049250313e-16]]),
+        (np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 11) ** 3,
+         np.random.default_rng(3).normal(scale=0.2, size=(7, 11))),
+    ], ids=["edge_values", "random_7x11"])
+    def test_grid_csv_bytes_equal_format_value_per_point(self, tmp_path, chi, pR, values):
+        grid = WignerGrid(np.asarray(chi, dtype=float), np.asarray(pR, dtype=float),
+                          np.asarray(values, dtype=float), "closed_form",
+                          {"n": 2, "s": 4.0, "R": 1.5})
+        path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["run a", "run b"])
+        expected = "# run a\n# run b\n# evaluator=closed_form\n# n=2 s=4 R=1.5\nchi,pR,W\n" + "".join(
+            f"{format_value(c)},{format_value(p)},{format_value(grid.values[i, j])}\n"
+            for i, c in enumerate(grid.chi_axis) for j, p in enumerate(grid.pR_axis))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_grid_csv_rejects_nonfinite_axis(self, tmp_path):
+        grid = WignerGrid(np.array([0.0, np.inf]), np.arange(2.0), np.zeros((2, 2)),
+                          "closed_form", {"n": 0, "s": 4.0, "R": 1.0})
+        with pytest.raises(ValueError):
+            emit_grid_csv(grid, tmp_path / "g.csv")
+
     def test_rejects_ragged_and_nonfinite(self, tmp_path):
         with pytest.raises(ValueError):
             emit_csv(tmp_path / "b.csv", ["a", "b"], [[1.0], [1.0, 2.0]])

@@ -198,6 +198,22 @@ class TestVerifyPlumbing:
         assert report["all_passed"] is False
         assert all(c["data"]["elapsed_s"] >= 0.0 for c in report["criteria"])
 
+    def test_report_verdicts_are_json_booleans(self, monkeypatch, tmp_path):
+        # norm_factors and momentum_calibration compare NumPy scalars
+        from curvedwigner import verify as vf
+        from curvedwigner.cli import run_verify
+
+        monkeypatch.setattr(
+            vf, "ALL_CRITERIA",
+            [vf.criterion_norm_factors, vf.criterion_momentum_calibration,
+             lambda t: vf.CriterionResult("toy_numpy_fail", np.float64(2.0) < 1.0, "bad")])
+        lines, echo = collect()
+        run_verify(RunConfig(command="verify", out_dir=str(tmp_path)), echo=echo)
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["all_passed"] is False
+        assert [c["passed"] for c in report["criteria"]] == [True, True, False]
+        assert all(type(c["passed"]) is bool for c in report["criteria"])
+
     def test_negative_control_tightened_tolerance(self):
         # scaling tolerances down by 1e3 must surface failures
         from curvedwigner.verify import criterion_special_functions

@@ -93,6 +93,21 @@ class TestShells:
         assert np.allclose(back.xi, coord.xi, atol=1e-14)
 
 
+class TestValueSemantics:
+    @pytest.mark.parametrize("make", [
+        lambda: AmbientVector(2.0, np.array([0.0, 1.0])),
+        lambda: AmbientVector(np.ones(3), np.zeros((3, 2))),
+        lambda: HyperbolicAngleCoord(0.9, np.array([0.6, 0.8])),
+        lambda: MomentumLabel(1.5, np.array([0.6, 0.8])),
+        lambda: BoostParams(np.array([0.0, 0.6, 0.8]), 0.3),
+    ], ids=["vector", "batch", "angle", "momentum", "boost"])
+    def test_eq_and_hash_go_by_identity(self, make):
+        # the fields hold arrays, so field-wise == would raise on equal copies
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 class TestShapiroPhi:
     def test_origin_is_one(self):
         R = 1.0

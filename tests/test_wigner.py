@@ -126,6 +126,15 @@ class TestGrids:
         assert gq.max_imag_residue < 1e-10
         assert np.allclose(g1.values, gq.values, atol=1e-8)
 
+    def test_eq_and_hash_go_by_identity(self):
+        def make():
+            return WignerGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "spectral",
+                              {"n": 0, "s": 4.0, "R": 1.0})
+
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_fallback_points_recorded(self):
         params = OscillatorParams.from_depth(30.0)
         state = BoundStateLabel(0, params)
