@@ -151,7 +151,7 @@ def energy(n: int, params: OscillatorParams) -> float:
 def _gegenbauer_array(n: int, alpha: float, xi: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.ones_like(xi)
-    prev, cur = np.ones_like(xi), 2.0 * alpha * xi
+    prev, cur = 1.0, 2.0 * alpha * xi  # scalar start: c * 1.0 is exact
     for k in range(2, n + 1):
         prev, cur = cur, (2.0 * (k + alpha - 1.0) * xi * cur - (k + 2.0 * alpha - 2.0) * prev) / k
     return cur

@@ -50,6 +50,14 @@ one 2F1 series runs over the whole flattened chi x q block.  Near q = 0 the
 formula degenerates (paired gamma/hypergeometric poles); values there are
 reconstructed by even-in-q Lagrange interpolation from four columns just
 outside the degenerate strip, appended to the same block.
+
+Both correlation routes cut the tau integral at |tau| = T from the declared
+decay envelopes |f| <= a_f e^{-r_f |u|}, |g| <= a_g e^{-r_g |u|}: beyond
+|tau| = 2|chi| the correlation is bounded by
+a_f a_g e^{-2 min(r_f, r_g) |chi|} e^{-(r_f + r_g)(|tau| - 2|chi|) / 2},
+so T is 2|chi| plus a margin that falls as |chi| grows (and is 4 once the
+tails are already under budget); the discarded tails stay below a tenth of
+the absolute tolerance (derivation in ``_pair_truncation``).
 """
 
 from __future__ import annotations
@@ -130,13 +138,35 @@ class WignerGrid:
 
 def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
                      spec: QuadratureSpec) -> float:
+    """Half-width T of the tau interval outside which the correlation
+    integral of f and g at ``chi`` is below a tenth of ``spec.abs_tol`` in W.
+
+    With envelopes |f(u)| <= a_f e^{-r_f |u|}, |g(u)| <= a_g e^{-r_g |u|},
+    amp = a_f a_g and rate = r_f + r_g, on |tau| >= 2|chi| write
+    u = |tau| - 2|chi|.  For chi >= 0 the tail tau > 0 has
+    |chi - tau/2| = u/2 and |chi + tau/2| = 2 chi + u/2, the tail tau < 0
+    the same with f and g swapped (and for chi < 0 the roles exchange), so
+
+        |corr| <= amp e^{-2 min(r_f, r_g) |chi|} e^{-rate u / 2}
+
+    on both tails.  Their two integrals over u > T - 2|chi| sum to
+
+        mass e^{-rate (T - 2|chi|) / 2},  mass = 4 amp e^{-2 min(r_f, r_g) |chi|} / rate,
+
+    which meets the budget 0.1 abs_tol 2 pi / R (W carries the factor
+    R / 2 pi) at T = 2|chi| + 2 log(mass / budget) / rate.  When the mass is
+    already under budget, T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate, T
+    never decreases in |chi|, so a T taken at the largest |chi| of a grid is
+    valid for every row; T <= 2|chi| + max(T(0), 4), and for equal rates
+    T <= max(T(0), 2|chi| + 4).
+    """
     rate = f.envelope.rate + g.envelope.rate
     if rate <= 0:
         raise DomainError("both samplers must decay for the correlation integral to truncate")
     amp = f.envelope.amplitude * g.envelope.amplitude
     budget = 0.1 * spec.abs_tol * 2.0 * math.pi / R
-    # integral over |tau| > T of amp * e^{rate |chi|} e^{-rate tau / 2}
-    mass = 4.0 * amp * math.exp(rate * abs(chi)) / rate
+    slow = min(f.envelope.rate, g.envelope.rate)
+    mass = 4.0 * amp * math.exp(-2.0 * slow * abs(chi)) / rate
     if mass <= budget:
         return 2.0 * abs(chi) + 4.0
     return 2.0 * abs(chi) + 2.0 * math.log(mass / budget) / rate
@@ -158,7 +188,11 @@ def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray
     T = _pair_truncation(f, g, chi, R, spec)
 
     def integrand(tau, i):
-        return np.conj(f(chi - tau / 2.0)) * g(chi + tau / 2.0) * np.exp(-1j * q[i] * tau)
+        half = tau / 2.0
+        left = f(chi - half)
+        if np.iscomplexobj(left):  # np.conj of a real array is only a copy
+            left = np.conj(left)
+        return left * g(chi + half) * np.exp(-1j * q[i] * tau)
 
     n0 = np.maximum(8, (np.abs(q) * T / 3.0).astype(int) + 1)
     vals, _ = gauss_kronrod_batch(integrand, np.full(len(q), -T), np.full(len(q), T), spec, n0)
@@ -471,17 +505,25 @@ def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
                              scaled_extent=scaled_extent)
 
 
+def _mirror_rows(axis: np.ndarray, values: np.ndarray):
+    """Mirror ``values`` along its first axis when ``axis`` starts at or
+    above 0 (its 0 entry kept once); an axis that already spans negative
+    values stands as it is (as in _axis_fold_factor)."""
+    if axis[0] < -1e-12:
+        return axis, values
+    drop = 1 if abs(axis[0]) <= 1e-12 else 0
+    return (np.concatenate([-axis[::-1], axis[drop:]]),
+            np.concatenate([values[::-1], values[drop:]]))
+
+
 def reflect_quadrant(grid: WignerGrid):
     """Mirror a quadrant grid across both axes for full-plane rendering.
 
-    Returns (chi_full, pR_full, values_full); the first row/column are only
-    duplicated when the axes start at 0.
+    Returns (chi_full, pR_full, values_full).  Only axes starting at or above
+    0 are mirrored, and the first row/column is only duplicated when its
+    axis starts above 0; an axis that already spans negative values is
+    rendered as it stands.
     """
-    chi, qs, v = grid.chi_axis, grid.pR_axis, grid.values
-    drop_c = 1 if abs(chi[0]) <= 1e-12 else 0
-    drop_q = 1 if abs(qs[0]) <= 1e-12 else 0
-    chi_full = np.concatenate([-chi[::-1], chi[drop_c:]])
-    q_full = np.concatenate([-qs[::-1], qs[drop_q:]])
-    top = np.concatenate([v[::-1, ::-1], v[::-1, drop_q:]], axis=1)
-    bottom = np.concatenate([v[drop_c:, ::-1], v[drop_c:, drop_q:]], axis=1)
-    return chi_full, q_full, np.concatenate([top, bottom], axis=0)
+    chi_full, v = _mirror_rows(grid.chi_axis, grid.values)
+    q_full, vt = _mirror_rows(grid.pR_axis, v.T)
+    return chi_full, q_full, np.ascontiguousarray(vt.T)

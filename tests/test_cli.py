@@ -6,6 +6,7 @@ import pytest
 
 from curvedwigner.artifacts import read_csv, read_pgm, validate_manifest
 from curvedwigner.cli import (
+    FIGURE1_DEPTHS,
     GridSpec,
     RunConfig,
     main,
@@ -15,6 +16,12 @@ from curvedwigner.cli import (
     run_wigner,
 )
 from curvedwigner.errors import ConfigError
+from curvedwigner.oscillator import (
+    BoundStateLabel,
+    OscillatorParams,
+    psi_bound,
+    psi_momentum,
+)
 
 
 def collect():
@@ -140,6 +147,18 @@ class TestWignerCommand:
         assert int(fields["zero_gray"]) >= 0
         assert "# evaluator=spectral" in (tmp_path / "wigner_n0.csv").read_text()
 
+    def test_axes_spanning_negative_values(self, tmp_path):
+        # both axes already span negative values: rendered as they stand
+        out = tmp_path / "out"
+        rc = main(["wigner", "--s", "4", "--n", "1", "--grid=-1:2:7,-3:3:5",
+                   "--out", str(out)])
+        assert rc == 0
+        doc = validate_manifest(out / "manifest.json")
+        kinds = sorted(e["kind"] for e in doc["files"])
+        assert kinds == ["marginal_csv", "marginal_csv", "wigner_csv", "wigner_pgm"]
+        w, h, _, _ = read_pgm(out / "wigner_n1.pgm")
+        assert (w, h) == (7, 5)
+
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
@@ -179,6 +198,38 @@ class TestFigure1:
         assert total == pytest.approx(1.0, abs=1e-3)
         _, (q, densp) = read_csv(tmp_path / "figure1_s4_n0_marginal_momentum.csv")
         assert 2.0 * np.trapezoid(densp, q) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.fixture(scope="module")
+def default_figure1(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figure1_default")
+    run_figure1(RunConfig(command="figure1", out_dir=str(out)))
+    return out
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the marginal files integrate over the display window, which cuts "
+    "the slowly decaying s = 4 tails: figure1_s4_n3_marginal_momentum.csv "
+    "misses |psi~|^2 by 0.217 and starts negative")
+def test_default_figure1_marginals_match_exact_densities(default_figure1):
+    cfg = RunConfig(command="figure1")
+    worst = {}
+    for s in FIGURE1_DEPTHS:
+        params = OscillatorParams.from_depth(s, mu=cfg.mu, R=cfg.radius)
+        for n in cfg.n_list:
+            state = BoundStateLabel(n, params)
+            stem = f"figure1_s{s:g}_n{n}"
+            _, (chi, dens) = read_csv(default_figure1 / f"{stem}_marginal_position.csv")
+            _, (q, densp) = read_csv(default_figure1 / f"{stem}_marginal_momentum.csv")
+            exact_p = np.array([abs(psi_momentum(state, v / params.R)) ** 2 for v in q])
+            for name, got, exact in [(f"{stem}_marginal_position.csv", dens,
+                                      psi_bound(state, chi) ** 2),
+                                     (f"{stem}_marginal_momentum.csv", densp, exact_p)]:
+                worst[name] = max(float(np.max(np.abs(got - exact))), -float(got.min()))
+    assert len(worst) == 16
+    bad = {k: v for k, v in worst.items() if v > 1e-8}
+    assert not bad, f"largest miss {max(bad.values()):.3g} in {max(bad, key=bad.get)}"
 
 
 class TestVerifyPlumbing:

@@ -18,7 +18,7 @@ from curvedwigner.oscillator import (
     psi_bound,
     psi_momentum,
 )
-from curvedwigner.quadrature import QuadratureSpec
+from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from curvedwigner.wigner import (
     WignerGrid,
     contraction_report,
@@ -62,6 +62,60 @@ class TestQuadratureRoute:
         f, g = gaussian_sampler(width=1.0), gaussian_sampler(width=0.6, center=0.5)
         val = wigner_quadrature_1d(f, g, 0.2, 1.0, 1.0)
         assert abs(val.imag) > 1e-6
+
+
+def _pair_T(f, g, chi, R=1.0, spec=QuadratureSpec()):
+    return wigner._pair_truncation(f, g, chi, R, spec)
+
+
+class TestPairTruncation:
+    CHIS = (0.0, 1.0, 3.0, 8.0)
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tail_beyond_T_is_under_budget(self, s, n):
+        # the envelope is the profile's exact asymptote, so at s = 4, n = 3
+        # the tail sits within ~1e-12 of the budget; Gauss-Kronrod of this
+        # smooth exponential is accurate to rounding (~1e-15 relative)
+        params = OscillatorParams.from_depth(s)
+        f = bound_sampler(BoundStateLabel(n, params))
+        spec = QuadratureSpec()
+        exact = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-14, max_panels=100_000)
+        budget = 0.1 * spec.abs_tol * 2.0 * math.pi / params.R
+        for chi in self.CHIS:
+            T = _pair_T(f, f, chi, params.R, spec)
+            tail = 0.0
+            for sign in (1.0, -1.0):
+                val, _ = adaptive_gauss_kronrod(
+                    lambda t: np.abs(f(chi - sign * t / 2.0) * f(chi + sign * t / 2.0)),
+                    T, T + 60.0, exact, 64)
+                tail += val.real
+            assert tail < budget, (chi, T, tail / budget)
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_T_non_decreasing_and_capped(self, s):
+        params = OscillatorParams.from_depth(s)
+        fs = [bound_sampler(BoundStateLabel(n, params)) for n in range(4)]
+        chis = np.linspace(0.0, 12.0, 481)
+        for f, g in [(f, f) for f in fs] + [(fs[0], fs[3]), (fs[3], fs[1])]:
+            T = np.array([_pair_T(f, g, c) for c in chis])
+            assert np.all(np.diff(T) >= -1e-12)
+            assert [_pair_T(f, g, -c) for c in chis] == list(T)
+            if f is g:  # equal rates: T stays at T(0) until 2|chi| + 4 takes over
+                assert np.all(T <= np.maximum(T[0], 2.0 * chis + 4.0) + 1e-12)
+            else:       # unequal rates: T exceeds 2|chi| by at most max(T(0), 4)
+                assert np.all(T <= 2.0 * chis + max(T[0], 4.0) + 1e-12)
+
+    def test_cross_pair_unequal_rates_converged(self, s4_states, monkeypatch):
+        # psi_0 decays like e^{-4|chi|}, psi_3 like e^{-|chi|}: each tail is
+        # governed by the slower rate, so doubling T must not move W
+        f, g = bound_sampler(s4_states[0]), bound_sampler(s4_states[3])
+        points = [(chi, p) for chi in (0.0, 1.0, 3.0, 8.0, -2.0) for p in (0.0, 0.7, 2.5)]
+        base = [wigner_quadrature_1d(f, g, chi, p, 1.0) for chi, p in points]
+        original = wigner._pair_truncation
+        monkeypatch.setattr(wigner, "_pair_truncation", lambda *a: 2.0 * original(*a))
+        doubled = [wigner_quadrature_1d(f, g, chi, p, 1.0) for chi, p in points]
+        assert max(abs(a - b) for a, b in zip(base, doubled)) <= 1e-12
 
 
 class TestClosedForm:
@@ -372,6 +426,15 @@ class TestReflectQuadrant:
         assert len(chi_f) == 7 and len(q_f) == 5
         assert v.shape == (7, 5)
         assert np.array_equal(v, v[::-1, :])
+        assert np.array_equal(v, v[:, ::-1])
+
+    def test_axis_spanning_negative_values_stands(self, s4_states):
+        grid = wigner_grid(s4_states[1], np.linspace(-1.0, 2.0, 7),
+                           np.linspace(0.0, 2.0, 3))
+        chi_f, q_f, v = reflect_quadrant(grid)
+        assert np.array_equal(chi_f, grid.chi_axis)
+        assert np.array_equal(q_f, [-2.0, -1.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(v[:, 2:], grid.values)
         assert np.array_equal(v, v[:, ::-1])
 
     def test_no_duplicate_center_when_axis_off_zero(self, s4_states):
