@@ -3,8 +3,9 @@
 The package covers the one-dimensional conic oscillator (a Poschl-Teller
 sech^2 trough on a hyperbola branch) end to end: special functions, the
 hyperboloid plane-wave basis and geodesic machinery, bound and scattering
-eigenstates with their momentum representations, closed-form and quadrature
-Wigner evaluators with marginals and flat-space contraction checks, and a
+eigenstates with their momentum representations, a certified spectral grid
+engine and quadrature Wigner evaluators with the paper's closed form as an
+independent oracle, marginals and flat-space contraction checks, and a
 deterministic CLI that renders the phase-space panels to CSV/PGM artifacts.
 """
 

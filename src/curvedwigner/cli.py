@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ __all__ = ["GridSpec", "RunConfig", "main",
 FIGURE1_DEPTHS = (4.0, 30.0)
 FIGURE1_GRID_EXTENT = 4.0
 FIGURE1_GRID_POINTS = 256
-EVALUATOR_TAGS = {"spectral": "spectral", "closed": "closed_form", "quad": "quadrature"}
+EVALUATOR_TAGS = {"spectral": "spectral", "quad": "quadrature"}
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,11 @@ class GridSpec:
     n_p: int
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) and not isinstance(v, bool)
+                   for v in (self.n_chi, self.n_p)):
+            raise ConfigError("grid point counts must be integers")
+        if not all(isinstance(v, Real) and math.isfinite(v) for v in (self.chi_min, self.chi_max, self.p_min, self.p_max)):
+            raise ConfigError("grid extents must be finite numbers")
         if self.n_chi < 2 or self.n_p < 2:
             raise ConfigError("grid needs at least 2 points per axis")
         if not (self.chi_max > self.chi_min and self.p_max > self.p_min):
@@ -140,10 +146,11 @@ def _load_config_file(path: str) -> dict:
             doc["grid"] = GridSpec(**doc["grid"])
         except TypeError as exc:
             raise ConfigError(f"{path}: bad grid object ({exc})") from exc
-    if "n_list" in doc:
-        doc["n_list"] = tuple(doc["n_list"])
-    if "formats" in doc:
-        doc["formats"] = tuple(doc["formats"])
+    for key in ("n_list", "formats"):
+        if key in doc:
+            if not isinstance(doc[key], list):
+                raise ConfigError(f"{path}: {key} must be a JSON array")
+            doc[key] = tuple(doc[key])
     return doc
 
 

@@ -42,14 +42,14 @@ Three routes are provided and must agree:
       B^2 = sigma Gamma(2s - n + 1) / (4 n! Gamma(sigma + 1)^2),
       g_k = (-n)_k (2s - n + 1)_k / ((sigma + 1)_k k!).
 
-The closed form is exact but cancels catastrophically inside the real part
-for large depth at small chi, so every evaluation tracks the largest
-intermediate magnitude and defers to another route when double precision
-cannot certify the result.  A grid is evaluated at once: for each (k, k')
-one 2F1 series runs over the whole flattened chi x q block.  Near q = 0 the
-formula degenerates (paired gamma/hypergeometric poles); values there are
-reconstructed by even-in-q Lagrange interpolation from four columns just
-outside the degenerate strip, appended to the same block.
+The closed form is the paper's result, kept as the independent oracle that
+verification criterion 1 checks against quadrature on its validated box
+(s = 4, chi in [0.1, 3], pR in [0, 6]); it certifies nothing and no CLI
+grid comes from it.  Below CHI_MIN its 2F1 series in e^{-4 chi} -> 1 does
+not converge, so it raises DomainError there.  A grid runs one 2F1 series
+per (k, k') over the whole flattened chi x q block.  Near q = 0 the formula
+degenerates (paired gamma/hypergeometric poles); values there are rebuilt
+by even-in-q Lagrange interpolation from four columns just outside it.
 
 Both correlation routes cut the tau integral at |tau| = T from the declared
 decay envelopes |f| <= a_f e^{-r_f |u|}, |g| <= a_g e^{-r_g |u|}: beyond
@@ -72,7 +72,7 @@ from .errors import DomainError, NonconvergenceError, PrecisionLossError
 from .oscillator import BoundStateLabel, bound_sampler
 from .quadrature import QuadratureSpec, gauss_kronrod_batch
 from .sampling import DecayEnvelope, FieldSampler
-from .specfun import laguerre, log_gamma
+from .specfun import _pochhammer, laguerre, log_gamma
 
 __all__ = [
     "FieldSampler",
@@ -92,12 +92,8 @@ __all__ = [
 ]
 
 EVALUATORS = ("spectral", "closed_form", "quadrature")
-CHI_MIN = 0.05          # below this the closed form defers to another route
+CHI_MIN = 0.05          # below this |chi| the closed form is not evaluated
 Q_EXTRAP = 0.03         # |pR| below this uses the even-in-q extrapolation
-GUARD_ABS = 1e-9        # cancellation guard: certified absolute noise
-GUARD_REL = 2e-6        # ... or this relative to the result (the q ~ 0
-                        # reconstruction is the accuracy-limiting region)
-_EPS_NOISE = 5e-16      # per-unit-magnitude rounding noise estimate
 _F21_MAX_TERMS = 200_000
 
 _MARGINAL_TAIL_TOL = 1e-5
@@ -114,7 +110,7 @@ class WignerGrid:
     evaluator_tag: str
     state_meta: dict
     max_imag_residue: float = 0.0
-    fallback_points: int = 0
+    fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
 
     def __post_init__(self):
@@ -199,17 +195,8 @@ def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray
     return R / (2.0 * math.pi) * vals
 
 
-def _pochhammer_real(a: float, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
-
-
-def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray):
-    """Closed-form W over the grid chi x |qs| (chi > 0); returns (values,
-    magnitudes), the largest intermediate magnitude per point feeding the
-    cancellation guard.
+def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Closed-form W over the grid |chi| x |qs|; DomainError below CHI_MIN.
 
     For each (k, k') one 2F1 series runs over the flattened chi x q block;
     elements converge at very different rates (the series slows as
@@ -221,22 +208,24 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray):
     appended to the block (exact at the branch point, so the two regions
     join continuously).
     """
+    chi, qs = np.abs(chi), np.abs(qs)
+    if np.any(chi < CHI_MIN):
+        raise DomainError(f"closed form needs |chi| >= {CHI_MIN}: its 2F1 series "
+                          f"does not converge as e^(-4 chi) -> 1")
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
-    qs = np.abs(qs)
     near = qs < Q_EXTRAP
     nodes = Q_EXTRAP * np.arange(1.0, 5.0) if near.any() else np.empty(0)
     cols = np.concatenate([qs[~near], nodes])
     lgB2 = (math.log(sig) + math.lgamma(2.0 * s - n + 1.0)
             - math.log(4.0) - math.lgamma(n + 1) - 2.0 * math.lgamma(sig + 1.0))
     gamma_coef = [
-        _pochhammer_real(-n, k) * _pochhammer_real(2.0 * s - n + 1.0, k)
-        / (_pochhammer_real(sig + 1.0, k) * math.factorial(k))
+        (_pochhammer(-n, k) * _pochhammer(2.0 * s - n + 1.0, k)
+         / (_pochhammer(sig + 1.0, k) * math.factorial(k))).real
         for k in range(n + 1)
     ]
     c_flat, q_flat = np.repeat(chi, len(cols)), np.tile(cols, len(chi))
     x = np.exp(-4.0 * c_flat)
     total = np.zeros(len(x), dtype=complex)
-    big = np.zeros(len(x))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n + 1):
             for kp in range(n + 1):
@@ -247,76 +236,43 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray):
                     + 2.0j * q_flat * c_flat)
                 a, b, c = sig + k, sig + k - 1j * q_flat, 1.0 + k - kp - 1j * q_flat
                 F = np.empty(len(x), dtype=complex)
-                bigF = np.empty(len(x))
                 idx, xa = np.arange(len(x)), x
                 term_a = np.ones(len(x), dtype=complex)
                 tot_a = np.ones(len(x), dtype=complex)
-                big_a = np.ones(len(x))
                 j = 0
                 while idx.size:
                     term_a = term_a * ((a + j) * (b + j) / ((c + j) * (j + 1))) * xa
                     tot_a += term_a
-                    np.maximum(big_a, np.abs(term_a), out=big_a)
                     j += 1
-                    bad = ~np.isfinite(tot_a)  # overflow: hand to the guard
+                    bad = ~np.isfinite(tot_a)  # overflow: retired, reported below
                     done = (np.abs(term_a) <= 1e-17 * np.abs(tot_a)) | bad if j > 8 else bad
                     if done.any():
-                        F[idx[done]], bigF[idx[done]] = tot_a[done], big_a[done]
+                        F[idx[done]] = tot_a[done]
                         keep = ~done
                         idx, xa, b, c = idx[keep], xa[keep], b[keep], c[keep]
-                        term_a, tot_a, big_a = term_a[keep], tot_a[keep], big_a[keep]
+                        term_a, tot_a = term_a[keep], tot_a[keep]
                     if idx.size and j > _F21_MAX_TERMS:
                         raise NonconvergenceError("closed-form hypergeometric series stalled")
                 total += pref * F
-                np.maximum(big, np.abs(pref) * bigF, out=big)
-    scale = 4.0 * R / math.pi
-    block_v = (scale * total.real).reshape(len(chi), len(cols))
-    block_m = (scale * big).reshape(len(chi), len(cols))
+    block = (4.0 * R / math.pi * total.real).reshape(len(chi), len(cols))
+    if not np.isfinite(block).all():
+        raise PrecisionLossError(f"closed form overflows double precision at s={s:g}")
     values = np.empty((len(chi), len(qs)))
-    mags = np.empty((len(chi), len(qs)))
     m = len(cols) - len(nodes)
-    values[:, ~near], mags[:, ~near] = block_v[:, :m], block_m[:, :m]
+    values[:, ~near] = block[:, :m]
     t_nodes = nodes * nodes
     for j in np.flatnonzero(near):
         values[:, j] = 0.0
         for i, ti in enumerate(t_nodes):
             weight = np.prod([(qs[j] * qs[j] - tl) / (ti - tl) for tl in t_nodes if tl != ti])
-            values[:, j] += weight * block_v[:, m + i]
-        mags[:, j] = block_m[:, m:].max(axis=1)
-    return values, mags
+            values[:, j] += weight * block[:, m + i]
+    return values
 
 
-def _guard_ok(values: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
-    noise = _EPS_NOISE * magnitudes
-    return np.isfinite(values) & (noise <= np.maximum(GUARD_ABS, GUARD_REL * np.abs(values)))
-
-
-def wigner_pt_closed(state: BoundStateLabel, chi: float, p: float,
-                     spec: QuadratureSpec | None = None,
-                     fallback: bool = True) -> float:
-    """Closed-form Wigner value of a bound state at one phase-space point.
-
-    chi < 0 reflects to chi > 0 and p < 0 to p > 0 (the function is even in
-    both).  chi below CHI_MIN, or a point where the cancellation guard trips,
-    is delegated to the quadrature route; pass ``fallback=False`` to get a
-    PrecisionLossError instead.
-    """
-    chi = abs(chi)
-    q = abs(p * state.params.R)
-    if chi >= CHI_MIN:
-        vals, bigs = _closed_grid(state, np.array([chi]), np.array([q]))
-        val, big = vals[0, 0], bigs[0, 0]
-        if _guard_ok(val, big):
-            return float(val)
-        if not fallback:
-            raise PrecisionLossError(
-                f"closed form cancels beyond double precision at chi={chi}, pR={q} "
-                f"(magnitude ratio {big / max(abs(val), 1e-300):.2e})")
-    elif not fallback:
-        raise PrecisionLossError(f"closed form not evaluated below chi={CHI_MIN}")
-    f = bound_sampler(state)
-    val = wigner_quadrature_1d(f, f, chi, q / state.params.R, state.params.R, spec)
-    return float(val.real)
+def wigner_pt_closed(state: BoundStateLabel, chi: float, p: float) -> float:
+    """Closed-form Wigner value of a bound state at one point (even in chi
+    and p); an uncertified oracle, DomainError for |chi| < CHI_MIN."""
+    return float(_closed_grid(state, np.array([chi]), np.array([p * state.params.R]))[0, 0])
 
 
 def _spectral_step(q_max: float, sigma: float, spec: QuadratureSpec) -> float:
@@ -371,38 +327,31 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
                 spec: QuadratureSpec | None = None) -> WignerGrid:
     """Evaluate W(psi_n | chi, p) on the product grid chi_axis x pR_axis.
 
-    ``spectral`` is the certified engine.  ``closed_form`` evaluates the
-    closed form over all rows at or above CHI_MIN at once; rows below
-    CHI_MIN and points its cancellation guard rejects are taken from the
-    engine grid and counted in ``fallback_points``.  ``quadrature`` runs one
-    batched adaptive Gauss-Kronrod per chi row, equal point by point to
-    ``wigner_quadrature_1d``.
+    ``spectral`` is the certified engine.  ``quadrature`` runs one batched
+    adaptive Gauss-Kronrod per chi row, equal point by point to
+    ``wigner_quadrature_1d``.  ``closed_form`` is the uncertified oracle,
+    equal point by point to ``wigner_pt_closed``; it raises DomainError when
+    any |chi| is below CHI_MIN.
     """
     if evaluator not in EVALUATORS:
         raise ValueError(f"evaluator must be one of {EVALUATORS}")
     spec = spec or QuadratureSpec()
     chi = np.asarray(chi_axis, dtype=float)
     qs = np.asarray(pR_axis, dtype=float)
-    imag, n_fb, discrepancy = 0.0, 0, 0.0
+    imag, discrepancy = 0.0, 0.0
     if evaluator == "quadrature":
         f = bound_sampler(state)
         R = state.params.R
         vals = np.array([_quadrature_row(f, f, float(c), qs / R, R, spec) for c in chi])
         values = vals.real
         imag = float(np.max(np.abs(vals.imag), initial=0.0))
+    elif evaluator == "closed_form":
+        values = _closed_grid(state, chi, qs)
     else:
         values, discrepancy = _spectral_values(state, chi, qs, spec)
-    if evaluator == "closed_form":
-        direct = chi >= CHI_MIN
-        n_fb = values.size
-        if direct.any():
-            vals, bigs = _closed_grid(state, chi[direct], qs)
-            ok = _guard_ok(vals, bigs)
-            values[direct] = np.where(ok, vals, values[direct])
-            n_fb -= int(ok.sum())
     meta = {"n": state.n, "s": state.s, "R": state.params.R}
     return WignerGrid(chi, qs, values, evaluator, meta, max_imag_residue=imag,
-                      fallback_points=n_fb, step_discrepancy=discrepancy)
+                      step_discrepancy=discrepancy)
 
 
 def _support_warning(edge_values: np.ndarray, axis: np.ndarray, what: str) -> None:

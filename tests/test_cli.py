@@ -112,6 +112,32 @@ class TestConfigHandling:
         blocker.write_text("x")
         assert main(["eigen", "--s", "4", "--out", str(blocker / "sub")]) == 4
 
+    GRID = {"chi_min": 0.0, "chi_max": 2.0, "n_chi": 8, "p_min": 0.0, "p_max": 3.0, "n_p": 6}
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--grid", "0:inf:5,0:1:5"], None),
+        ([], {"grid": {**GRID, "n_chi": 2.5}}),
+        ([], {"grid": {**GRID, "n_p": True}}),
+        ([], {"grid": {**GRID, "chi_min": "0", "chi_max": "2"}}),
+        ([], {"n_list": 3}),
+        ([], {"formats": "csv"}),
+        (["--evaluator", "closed"], None),
+        ([], {"evaluator": "closed"}),
+    ], ids=["infinite_extent", "float_count", "bool_count", "string_extent",
+            "scalar_n_list", "string_formats", "closed_flag", "closed_in_config"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, flags, config):
+        argv = ["wigner", "--s", "4", "--out", str(tmp_path / "out")] + flags
+        if config is not None:
+            cfg_file = tmp_path / "c.json"
+            cfg_file.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_file)]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown --evaluator itself
+            rc = exc.code
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_numeric_exit_code_mapping(self):
         from curvedwigner.errors import (DomainError, NonconvergenceError,
                                          exit_code_for)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import gaussian_sampler
 from curvedwigner import wigner
-from curvedwigner.errors import PrecisionLossError
+from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
@@ -123,7 +123,7 @@ class TestClosedForm:
         for state in s4_states:
             f = bound_sampler(state)
             for (chi, q) in ((0.15, 0.0), (0.4, 1.3), (1.1, 0.45), (2.6, 5.5)):
-                closed = wigner_pt_closed(state, chi, q, fallback=False)
+                closed = wigner_pt_closed(state, chi, q)
                 quad = wigner_quadrature_1d(f, f, chi, q, 1.0, TIGHT).real
                 assert abs(closed - quad) <= max(2e-9, 2e-6 * abs(quad))
 
@@ -140,29 +140,27 @@ class TestClosedForm:
         for state in s4_states:
             f = bound_sampler(state)
             for q in (0.0, 1e-3, 0.029, 0.031, 0.08):
-                closed = wigner_pt_closed(state, 0.12, q, fallback=False)
+                closed = wigner_pt_closed(state, 0.12, q)
                 quad = wigner_quadrature_1d(f, f, 0.12, q, 1.0, TIGHT).real
                 assert abs(closed - quad) < 5e-7
 
-    def test_small_chi_delegates_to_quadrature(self, s4_states):
+    def test_small_chi_raises_domain_error(self, s4_states):
+        # the 2F1 series in e^(-4 chi) does not converge as chi -> 0
         state = s4_states[0]
-        f = bound_sampler(state)
-        val = wigner_pt_closed(state, 0.02, 1.0)
-        ref = wigner_quadrature_1d(f, f, 0.02, 1.0, 1.0).real
-        assert val == pytest.approx(ref, rel=1e-10)
-        with pytest.raises(PrecisionLossError):
-            wigner_pt_closed(state, 0.02, 1.0, fallback=False)
+        for chi in (0.0, 0.02, -0.02, 0.999 * wigner.CHI_MIN):
+            with pytest.raises(DomainError):
+                wigner_pt_closed(state, chi, 1.0)
+        with pytest.raises(DomainError):
+            wigner_grid(state, np.array([0.02, 0.5]), np.array([0.0, 1.0]),
+                        evaluator="closed_form")
+        assert wigner_pt_closed(state, -wigner.CHI_MIN, 1.0) == \
+            wigner_pt_closed(state, wigner.CHI_MIN, 1.0)
 
-    def test_cancellation_guard_trips_at_large_depth(self):
-        params = OscillatorParams.from_depth(30.0)
-        state = BoundStateLabel(0, params)
-        with pytest.raises(PrecisionLossError):
-            wigner_pt_closed(state, 0.3, 0.5, fallback=False)
-        # with fallback the value is still correct
-        f = bound_sampler(state)
-        val = wigner_pt_closed(state, 0.3, 0.5)
-        ref = wigner_quadrature_1d(f, f, 0.3, 0.5, 1.0, TIGHT).real
-        assert val == pytest.approx(ref, rel=1e-9)
+    def test_overflow_raises_precision_loss(self):
+        # at s = 300 the gamma prefactors overflow near chi = CHI_MIN
+        state = BoundStateLabel(0, OscillatorParams.from_depth(300.0))
+        with pytest.raises(PrecisionLossError, match="overflows"):
+            wigner_pt_closed(state, 0.06, 1.0)
 
 
 class TestGrids:
@@ -188,16 +186,6 @@ class TestGrids:
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, b, a}) == 2
-
-    def test_fallback_points_recorded(self):
-        params = OscillatorParams.from_depth(30.0)
-        state = BoundStateLabel(0, params)
-        chi = np.linspace(0.0, 0.5, 4)
-        qs = np.array([0.0, 2.0])
-        grid = wigner_grid(state, chi, qs, evaluator="closed_form")
-        assert grid.fallback_points > 0
-        ref = wigner_grid(state, chi, qs, evaluator="quadrature")
-        assert np.allclose(grid.values, ref.values, atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -294,46 +282,9 @@ class TestGridRoutesMatchPointRoutes:
         qs = np.array([0.0, 0.5 * wigner.Q_EXTRAP, wigner.Q_EXTRAP, 0.4, 3.0])
         for state in s4_states:
             grid = wigner_grid(state, chi, qs, evaluator="closed_form")
-            ref = np.array([[wigner_pt_closed(state, c, q, fallback=False) for q in qs]
+            ref = np.array([[wigner_pt_closed(state, c, q) for q in qs]
                             for c in chi])
-            assert grid.fallback_points == 0
             assert np.array_equal(grid.values, ref)
-
-    def test_closed_grid_counts_every_fallback(self):
-        state = BoundStateLabel(0, OscillatorParams.from_depth(30.0))
-        chi = np.array([0.0, 0.02, 0.1, 0.3, 0.6, 1.2])
-        qs = np.array([0.0, 0.01, 0.5, 2.0, 6.0])
-        grid = wigner_grid(state, chi, qs, evaluator="closed_form")
-        engine = wigner_grid(state, chi, qs).values
-        expected = np.array(engine)
-        rejected = 0
-        for i, c in enumerate(chi[chi >= wigner.CHI_MIN], start=int(np.sum(chi < wigner.CHI_MIN))):
-            for j, q in enumerate(qs):
-                try:
-                    expected[i, j] = wigner_pt_closed(state, c, q, fallback=False)
-                except PrecisionLossError:
-                    rejected += 1
-        assert 0 < rejected < 4 * len(qs)  # the guard accepts some points, rejects others
-        assert grid.fallback_points == rejected + len(qs) * int(np.sum(chi < wigner.CHI_MIN))
-        assert np.array_equal(grid.values, expected)
-
-
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the closed form's cancellation guard accepts points whose error "
-    "exceeds its own bound max(1e-9, 2e-6 |W|); its noise model "
-    "underestimates the rounding error")
-@pytest.mark.parametrize("s,n,points,corner", [(30.0, 0, 48, 48), (4.0, 2, 128, 16)])
-def test_closed_form_within_guard_bound_on_figure1_axes(s, n, points, corner):
-    # corner: leading rows and columns kept; at s = 4 the excess sits near
-    # chi = 0.06, pR < 1
-    state = BoundStateLabel(n, OscillatorParams.from_depth(s))
-    chi, qs = figure1_axes(s, points)
-    chi, qs = chi[:corner], qs[:corner]
-    engine = wigner_grid(state, chi, qs).values
-    closed = wigner_grid(state, chi, qs, evaluator="closed_form").values
-    bound = np.maximum(1e-9, 2e-6 * np.abs(engine))
-    assert np.all(np.abs(closed - engine) <= bound)
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +324,7 @@ class TestMarginals:
         state = s4_states[3]
         chi = np.linspace(0.0, 1.0, 12)  # far too short for sigma = 1
         qs = np.linspace(0.0, 2.0, 12)
-        grid = wigner_grid(state, chi, qs, evaluator="closed_form")
+        grid = wigner_grid(state, chi, qs)
         with pytest.warns(UserWarning):
             marginal_position_integrated(grid, 1.0)
 
@@ -421,7 +372,7 @@ class TestContraction:
 class TestReflectQuadrant:
     def test_shapes_and_symmetry(self, s4_states):
         grid = wigner_grid(s4_states[0], np.linspace(0.0, 1.0, 4),
-                           np.linspace(0.0, 2.0, 3), evaluator="closed_form")
+                           np.linspace(0.0, 2.0, 3))
         chi_f, q_f, v = reflect_quadrant(grid)
         assert len(chi_f) == 7 and len(q_f) == 5
         assert v.shape == (7, 5)
