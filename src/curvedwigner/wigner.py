@@ -7,10 +7,15 @@ Three routes are provided and must agree:
       W(f, g | chi, p) = (R / 2 pi) * integral dtau
           conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
 
-  by adaptive Gauss-Kronrod panels.  This is the ground truth.  A grid is
-  integrated a chi row at a time: the row's pR points form one batch whose
-  panels are tagged with their point, each keeping its own tolerances and
-  panel budget, so every value equals its per-point result.
+  by adaptive Gauss-Kronrod panels.  This is the ground truth.  The tau < 0
+  half is folded onto tau in [0, T]: with c(tau) the integrand's profile
+  product, c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two
+  profile arguments, so one integrand over the half line gives the whole
+  integral for diagonal and cross pairs alike, with about half the nodes.
+  A grid is integrated a chi row at a time: the row's pR points form one
+  batch whose panels are tagged with their point, each keeping its own
+  tolerances and panel budget, so every value equals its per-point
+  result.
 
 * The spectral engine (``wigner_grid``'s default) evaluates a whole grid of
   a bound state at once.  The correlation corr(chi, tau) =
@@ -46,8 +51,10 @@ The closed form is the paper's result, kept as the independent oracle that
 verification criterion 1 checks against quadrature on its validated box
 (s = 4, chi in [0.1, 3], pR in [0, 6]); it certifies nothing and no CLI
 grid comes from it.  Below CHI_MIN its 2F1 series in e^{-4 chi} -> 1 does
-not converge, so it raises DomainError there.  A grid runs one 2F1 series
-per (k, k') over the whole flattened chi x q block.  Near q = 0 the formula
+not converge, so it raises DomainError there; a value above the Wigner
+bound |W| <= R / pi (lost to cancellation at large depth) raises
+PrecisionLossError.  A grid runs one 2F1 series per (k, k') over the
+whole flattened chi x q block.  Near q = 0 the formula
 degenerates (paired gamma/hypergeometric poles); values there are rebuilt
 by even-in-q Lagrange interpolation from four columns just outside it.
 
@@ -95,6 +102,7 @@ EVALUATORS = ("spectral", "closed_form", "quadrature")
 CHI_MIN = 0.05          # below this |chi| the closed form is not evaluated
 Q_EXTRAP = 0.03         # |pR| below this uses the even-in-q extrapolation
 _F21_MAX_TERMS = 200_000
+_BOUND_MARGIN = 1e-6    # relative slack on |W| <= R/pi before the closed form is rejected
 
 _MARGINAL_TAIL_TOL = 1e-5
 
@@ -170,8 +178,10 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
 
 def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p: float,
                          R: float, spec: QuadratureSpec | None = None) -> complex:
-    """Direct correlation-integral Wigner value; complex in general, real up
-    to quadrature residue when f and g are the same profile."""
+    """Direct correlation-integral Wigner value, integrated over tau in
+    [0, T] with the tau < 0 half folded onto it (see ``_quadrature_row``);
+    complex in general, with an imaginary part of exactly 0 when f and g are
+    the same real profile."""
     return _quadrature_row(f, g, chi, np.array([p]), R, spec or QuadratureSpec())[0]
 
 
@@ -179,19 +189,35 @@ def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray
                     R: float, spec: QuadratureSpec) -> np.ndarray:
     """Correlation-integral W at one chi for every momentum in ``ps``: one
     batched Gauss-Kronrod call whose integrands share the truncation T and
-    keep their own initial panel count and tolerances."""
+    keep their own initial panel count and tolerances.
+
+    With c(tau) = conj f(chi - tau/2) g(chi + tau/2) the integral over
+    [-T, T] is folded onto [0, T]:
+
+        int_{-T}^{T} c(tau) e^{-iq tau} = int_0^T [c(tau) e^{-iq tau}
+                                                   + c(-tau) e^{+iq tau}],
+
+    c(-tau) = conj f(chi + tau/2) g(chi - tau/2), so both terms take the
+    same two profile arguments (two profile calls per node when g is f) and
+    e^{+iq tau} is the conjugate of e^{-iq tau}.  For a real diagonal pair
+    the two terms' imaginary parts cancel bit for bit.  The tolerances apply
+    to the full integral; ``max(4, |q| T / 6 + 1)`` initial panels on
+    [0, T] are as wide as ``max(8, |q| T / 3 + 1)`` were on [-T, T].
+    """
     q = ps * R
     T = _pair_truncation(f, g, chi, R, spec)
 
     def integrand(tau, i):
         half = tau / 2.0
-        left = f(chi - half)
-        if np.iscomplexobj(left):  # np.conj of a real array is only a copy
-            left = np.conj(left)
-        return left * g(chi + half) * np.exp(-1j * q[i] * tau)
+        f_minus, f_plus = f(chi - half), f(chi + half)
+        g_minus, g_plus = (f_minus, f_plus) if g is f else (g(chi - half), g(chi + half))
+        if np.iscomplexobj(f_minus):  # np.conj of a real array is only a copy
+            f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
+        phase = np.exp(-1j * q[i] * tau)
+        return f_minus * g_plus * phase + f_plus * g_minus * np.conj(phase)
 
-    n0 = np.maximum(8, (np.abs(q) * T / 3.0).astype(int) + 1)
-    vals, _ = gauss_kronrod_batch(integrand, np.full(len(q), -T), np.full(len(q), T), spec, n0)
+    n0 = np.maximum(4, (np.abs(q) * T / 6.0).astype(int) + 1)
+    vals, _ = gauss_kronrod_batch(integrand, np.zeros(len(q)), np.full(len(q), T), spec, n0)
     return R / (2.0 * math.pi) * vals
 
 
@@ -207,6 +233,13 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.
     interpolation in q^2 through four columns at (1, 2, 3, 4) Q_EXTRAP,
     appended to the block (exact at the branch point, so the two regions
     join continuously).
+
+    Every normalized state obeys |W| <= R / pi (Cauchy-Schwarz on the
+    correlation integral with int |psi|^2 dchi = 1, attained at the origin).
+    At large depth and small chi the real part of the sum cancels
+    catastrophically (~60 digits at s = 30) and returns values far beyond
+    that bound, so a grid with any |W| above (1 + _BOUND_MARGIN) R / pi
+    raises PrecisionLossError, as does one whose terms overflow.
     """
     chi, qs = np.abs(chi), np.abs(qs)
     if np.any(chi < CHI_MIN):
@@ -266,12 +299,20 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.
         for i, ti in enumerate(t_nodes):
             weight = np.prod([(qs[j] * qs[j] - tl) / (ti - tl) for tl in t_nodes if tl != ti])
             values[:, j] += weight * block[:, m + i]
+    peak = float(np.max(np.abs(values), initial=0.0))
+    if peak > (1.0 + _BOUND_MARGIN) * R / math.pi:
+        raise PrecisionLossError(
+            f"closed form exceeds the Wigner bound |W| <= R/pi at s={s:g} "
+            f"(max |W| = {peak * math.pi / R:.3g} R/pi): its real part cancelled "
+            f"catastrophically")
     return values
 
 
 def wigner_pt_closed(state: BoundStateLabel, chi: float, p: float) -> float:
     """Closed-form Wigner value of a bound state at one point (even in chi
-    and p); an uncertified oracle, DomainError for |chi| < CHI_MIN."""
+    and p); an uncertified oracle, DomainError for |chi| < CHI_MIN and
+    PrecisionLossError when its value overflows or exceeds the Wigner bound
+    |W| <= R / pi (catastrophic cancellation at large depth)."""
     return float(_closed_grid(state, np.array([chi]), np.array([p * state.params.R]))[0, 0])
 
 

@@ -63,6 +63,50 @@ class TestQuadratureRoute:
         val = wigner_quadrature_1d(f, g, 0.2, 1.0, 1.0)
         assert abs(val.imag) > 1e-6
 
+    @staticmethod
+    def _full_line(f, g, chi, p, R, spec):
+        # the unfolded integrand over [-T, T], T as in wigner_quadrature_1d
+        q = p * R
+        T = wigner._pair_truncation(f, g, chi, R, spec)
+        val, _ = adaptive_gauss_kronrod(
+            lambda t: np.conj(f(chi - t / 2.0)) * g(chi + t / 2.0) * np.exp(-1j * q * t),
+            -T, T, TIGHT, max(8, int(abs(q) * T / 3.0) + 1))
+        return R / (2.0 * math.pi) * val
+
+    @pytest.mark.parametrize("pair", ["gaussian_cross", "s4", "s30"])
+    def test_fold_equals_full_line(self, pair):
+        spec, R = QuadratureSpec(), 1.3
+        if pair == "gaussian_cross":
+            pairs = [(gaussian_sampler(width=1.0, center=0.3, phase_k=1.7),
+                      gaussian_sampler(width=0.6, center=-0.4, phase_k=-0.5))]
+        else:
+            params = OscillatorParams.from_depth(4.0 if pair == "s4" else 30.0, R=R)
+            fs = [bound_sampler(BoundStateLabel(n, params)) for n in range(4)]
+            pairs = [(f, f) for f in fs] + [(fs[0], fs[3]), (fs[2], fs[1])]
+        for f, g in pairs:
+            for chi in (-0.7, 0.0, 0.45):
+                for p in (0.0, 1.1, 4.3):
+                    folded = wigner_quadrature_1d(f, g, chi, p, R, spec)
+                    full = self._full_line(f, g, chi, p, R, spec)
+                    # each route's error bound, in W's units
+                    tol = R / (2.0 * math.pi) * sum(
+                        max(sp.abs_tol, sp.rel_tol * abs(full) * 2.0 * math.pi / R)
+                        for sp in (spec, TIGHT))
+                    assert abs(folded - full) <= tol, (chi, p, abs(folded - full), tol)
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_real_diagonal_imaginary_part_exactly_zero(self, s):
+        # the folded halves c(tau) e^{-iq tau} and c(tau) e^{+iq tau} cancel bit for bit
+        params = OscillatorParams.from_depth(s, R=1.3)
+        chi, qs = figure1_axes(s, 7)
+        for n in range(4):
+            state = BoundStateLabel(n, params)
+            grid = wigner_grid(state, chi, qs, evaluator="quadrature")
+            assert grid.max_imag_residue == 0.0
+            f = bound_sampler(state)
+            for c, q in ((-0.4, 0.9), (0.0, 0.0), (0.8, 3.1)):
+                assert wigner_quadrature_1d(f, f, c, q, params.R).imag == 0.0
+
 
 def _pair_T(f, g, chi, R=1.0, spec=QuadratureSpec()):
     return wigner._pair_truncation(f, g, chi, R, spec)
@@ -161,6 +205,25 @@ class TestClosedForm:
         state = BoundStateLabel(0, OscillatorParams.from_depth(300.0))
         with pytest.raises(PrecisionLossError, match="overflows"):
             wigner_pt_closed(state, 0.06, 1.0)
+
+    def test_value_above_wigner_bound_raises_precision_loss(self):
+        # |W| <= R/pi for every normalized state; at s = 100 the sum cancels
+        # to 3.29e226 at this point, and a deep grid exceeds the bound by far
+        state = BoundStateLabel(0, OscillatorParams.from_depth(100.0))
+        with pytest.raises(PrecisionLossError, match="bound"):
+            wigner_pt_closed(state, 0.06, 1.0)
+        deep = BoundStateLabel(1, OscillatorParams.from_depth(30.0, R=1.3))
+        with pytest.raises(PrecisionLossError, match="bound"):
+            wigner_grid(deep, np.linspace(0.05, 3.0, 60), np.linspace(0.0, 12.0, 61),
+                        evaluator="closed_form")
+
+    def test_values_inside_wigner_bound_pass(self):
+        # s = 4 peaks just below R/pi at chi = CHI_MIN, pR = 0
+        R = 1.3
+        state = BoundStateLabel(0, OscillatorParams.from_depth(4.0, R=R))
+        grid = wigner_grid(state, np.linspace(wigner.CHI_MIN, 3.0, 60),
+                           np.linspace(0.0, 12.0, 61), evaluator="closed_form")
+        assert 0.98 * R / math.pi < np.max(np.abs(grid.values)) <= R / math.pi
 
 
 class TestGrids:
