@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: eigen, wavefun, wigner, figure1, verify.  Configuration comes
-from flags and optionally a JSON file (--config); flags override the file.
+Subcommands: eigen, wavefun, wigner, figure1, verify.  COMMANDS lists the
+RunConfig fields each one reads; a command takes the flags of those fields
+(FLAGS) and --config, a JSON file whose keys may name only those fields.
+Flags override the file, and the manifest echoes exactly those fields.
 Exit codes: 0 success, 2 configuration error, 3 numeric nonconvergence,
 4 I/O error.
 """
@@ -12,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -44,6 +46,18 @@ FIGURE1_DEPTHS = (4.0, 30.0)
 FIGURE1_GRID_EXTENT = 4.0
 FIGURE1_GRID_POINTS = 256
 EVALUATOR_TAGS = {"spectral": "spectral", "quad": "quadrature"}
+_OSCILLATOR = ("mu", "omega", "s", "radius")
+# Per command: its help text and the RunConfig fields it reads.
+COMMANDS = {
+    "eigen": ("bound spectrum", _OSCILLATOR + ("out_dir",)),
+    "wavefun": ("wavefunction tables (position and momentum)",
+                _OSCILLATOR + ("n_list", "grid", "out_dir")),
+    "wigner": ("Wigner grids on a raw (chi, pR) grid",
+               _OSCILLATOR + ("n_list", "grid", "evaluator", "out_dir", "formats")),
+    "figure1": ("figure-1 panels on scaled axes",
+                ("mu", "s", "radius", "n_list", "grid", "evaluator", "out_dir", "formats")),
+    "verify": ("acceptance verification suite", ("out_dir", "tol")),
+}
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,7 @@ class RunConfig:
     tol: float = 1.0
 
     def __post_init__(self):
-        if self.command not in ("eigen", "wavefun", "wigner", "figure1", "verify"):
+        if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.evaluator not in EVALUATOR_TAGS:
             raise ConfigError(f"evaluator must be one of {sorted(EVALUATOR_TAGS)}")
@@ -102,8 +116,8 @@ class RunConfig:
             raise ConfigError("mu and R must be positive")
         if self.tol <= 0:
             raise ConfigError("tolerance scale must be positive")
-        if any(n < 0 or n != int(n) for n in self.n_list):
-            raise ConfigError("mode list must contain non-negative integers")
+        if not self.n_list or any(n < 0 or n != int(n) for n in self.n_list):
+            raise ConfigError("mode list must be a non-empty list of non-negative integers")
         if not self.formats or any(f not in ("csv", "pgm") for f in self.formats):
             raise ConfigError("formats must be a non-empty subset of {csv, pgm}")
 
@@ -130,17 +144,23 @@ def _parse_grid(text: str) -> GridSpec:
         raise ConfigError(f"bad --grid (want CHI_MIN:CHI_MAX:N,P_MIN:P_MAX:N): {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
+def _parse_modes(text: str) -> tuple:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --n list: {exc}") from exc
+
+
+def _load_config_file(path: str, command: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(COMMANDS[command][1])
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: config keys {sorted(unknown)} are not read by {command}")
     if "grid" in doc and doc["grid"] is not None:
         try:
             doc["grid"] = GridSpec(**doc["grid"])
@@ -164,7 +184,7 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
     count = bound_state_count(params)
-    if n >= count or params.s - n <= 1e-12 * max(1.0, params.s):
+    if n >= count or BoundStateLabel(n, params).at_threshold:
         raise ConfigError(
             f"mode n={n} is outside the normalizable bound range for s={params.s:g} "
             f"({count} level(s), the top one at threshold when s is an integer)")
@@ -173,11 +193,7 @@ def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
 
 def _config_echo(config: RunConfig) -> dict:
     doc = asdict(config)
-    doc["n_list"] = list(config.n_list)
-    doc["formats"] = list(config.formats)
-    if config.grid is not None:
-        doc["grid"] = asdict(config.grid)
-    return doc
+    return {key: doc[key] for key in ("command", *COMMANDS[config.command][1])}
 
 
 def run_eigen(config: RunConfig, echo=print) -> list[tuple[int, float]]:
@@ -192,7 +208,8 @@ def run_eigen(config: RunConfig, echo=print) -> list[tuple[int, float]]:
         echo("(the omega = 0 well is empty: its only candidate level sits at "
              "threshold with a vanishing profile)")
     for n, e in rows:
-        marker = "  (threshold level: zero-norm profile)" if params.s - n <= 0 else ""
+        marker = ("  (threshold level: zero-norm profile)"
+                  if BoundStateLabel(n, params).at_threshold else "")
         echo(f"  n={n:3d}  E={e:.15g}{marker}")
     if config.out_dir is not None:
         out = _out_dir(config)
@@ -301,6 +318,23 @@ def run_verify(config: RunConfig, echo=print) -> int:
     return 0 if ok else 1
 
 
+# The flag of each RunConfig field.  The converters raise ConfigError, which
+# argparse lets through to main (exit 2, like every other configuration error).
+FLAGS = {
+    "mu": ("--mu", {"type": float}),
+    "omega": ("--omega", {"type": float}),
+    "s": ("--s", {"type": float}),
+    "radius": ("--R", {"type": float}),
+    "n_list": ("--n", {"type": _parse_modes, "help": "comma-separated mode list, e.g. 0,1,2,3"}),
+    "grid": ("--grid", {"type": _parse_grid, "help": "CHI_MIN:CHI_MAX:N,P_MIN:P_MAX:N"}),
+    "evaluator": ("--evaluator", {"choices": tuple(EVALUATOR_TAGS)}),
+    "out_dir": ("--out", {}),
+    "formats": ("--format", {"type": lambda text: tuple(tok for tok in text.split(",") if tok),
+                             "help": "comma-separated subset of csv,pgm"}),
+    "tol": ("--tol", {"type": float, "help": "tolerance scale (1.0 = nominal)"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvedwigner",
@@ -308,67 +342,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on a hyperbola.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("eigen", "bound spectrum"),
-        ("wavefun", "wavefunction tables (position and momentum)"),
-        ("wigner", "Wigner grids on a raw (chi, pR) grid"),
-        ("figure1", "figure-1 panels on scaled axes"),
-        ("verify", "acceptance verification suite"),
-    ]:
+    for name, (help_text, reads) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--R", dest="radius", type=float, default=None)
-        p.add_argument("--n", dest="n_list", type=str, default=None,
-                       help="comma-separated mode list, e.g. 0,1,2,3")
-        p.add_argument("--grid", type=str, default=None,
-                       help="CHI_MIN:CHI_MAX:N,P_MIN:P_MAX:N")
-        p.add_argument("--evaluator", choices=tuple(EVALUATOR_TAGS), default=None)
-        p.add_argument("--out", dest="out_dir", type=str, default=None)
-        p.add_argument("--format", dest="formats", type=str, default=None,
-                       help="comma-separated subset of csv,pgm")
+        for field in reads:
+            flag, options = FLAGS[field]
+            p.add_argument(flag, dest=field, default=None, **options)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance scale for verify (1.0 = nominal)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    doc: dict = {}
-    if args.config:
-        doc.update(_load_config_file(args.config))
-    overrides = {
-        "mu": args.mu,
-        "omega": args.omega,
-        "s": args.s,
-        "radius": args.radius,
-        "evaluator": args.evaluator,
-        "out_dir": args.out_dir,
-        "tol": args.tol,
-    }
-    if args.n_list is not None:
-        try:
-            overrides["n_list"] = tuple(int(tok) for tok in args.n_list.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --n list: {exc}") from exc
-    if args.grid is not None:
-        overrides["grid"] = _parse_grid(args.grid)
-    if args.formats is not None:
-        overrides["formats"] = tuple(tok for tok in args.formats.split(",") if tok)
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    doc["command"] = args.command
+    flags = vars(args)
+    doc = _load_config_file(args.config, args.command) if args.config else {}
+    doc.update({key: flags[key] for key in COMMANDS[args.command][1] if flags[key] is not None})
     try:
-        return RunConfig(**doc)
+        return RunConfig(command=args.command, **doc)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = _config_from_args(_build_parser().parse_args(argv))
         if config.command == "eigen":
             run_eigen(config)
         elif config.command == "wavefun":

@@ -26,6 +26,7 @@ from .specfun import (
     continuous_hahn,
     gamma_abs_squared,
     gauss_2f1,
+    gegenbauer,
     hermite,
     hyper_3f2_terminating,
     legendre_imag_mu,
@@ -133,8 +134,14 @@ class BoundStateLabel:
         states, zero exactly at threshold."""
         return self.params.s - self.n
 
+    @property
+    def at_threshold(self) -> bool:
+        """True for the zero-norm level n = s (to rounding accuracy): its
+        energy is E0, but its profile vanishes identically."""
+        return self.sigma <= 1e-12 * max(1.0, self.s)
+
     def _require_normalizable(self):
-        if self.sigma <= 1e-12 * max(1.0, self.s):
+        if self.at_threshold:
             raise DomainError(
                 f"level n={self.n} at s={self.s} is a zero-norm threshold level; "
                 "it has energy E0 but no normalizable wavefunction"
@@ -146,15 +153,6 @@ def energy(n: int, params: OscillatorParams) -> float:
     in n and bounded by the threshold E0."""
     state = BoundStateLabel(n, params)  # validates n < s + 1
     return params.E0 - state.sigma ** 2 / (2.0 * params.mu * params.R ** 2)
-
-
-def _gegenbauer_array(n: int, alpha: float, xi: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.ones_like(xi)
-    prev, cur = 1.0, 2.0 * alpha * xi  # scalar start: c * 1.0 is exact
-    for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + alpha - 1.0) * xi * cur - (k + 2.0 * alpha - 2.0) * prev) / k
-    return cur
 
 
 def _bound_log_prefactor(state: BoundStateLabel) -> float:
@@ -177,7 +175,7 @@ def psi_bound(state: BoundStateLabel, chi):
     sig = state.sigma
     lpref = _bound_log_prefactor(state)
     log_env = sig * (math.log(2.0) - np.log(np.cosh(chi_arr)))
-    vals = np.exp(lpref + log_env) * _gegenbauer_array(state.n, sig + 0.5, np.tanh(chi_arr))
+    vals = np.exp(lpref + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
     return vals if vals.ndim else float(vals)
 
 
@@ -333,14 +331,8 @@ def flat_ho_sampler(n: int, mu: float, omega: float) -> FieldSampler:
     def func(u):
         arr = np.asarray(u, dtype=float)
         z = math.sqrt(mw) * arr
-        h = np.ones_like(arr)
-        if n >= 1:
-            prev, cur = np.ones_like(arr), 2.0 * z
-            for k in range(2, n + 1):
-                prev, cur = cur, 2.0 * z * cur - 2.0 * (k - 1) * prev
-            h = cur
         lpref = 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
-        return math.exp(lpref) * np.exp(-0.5 * z * z) * h
+        return math.exp(lpref) * np.exp(-0.5 * z * z) * hermite(n, z)
 
     return FieldSampler(func=func, envelope=DecayEnvelope(amplitude=amplitude, rate=rate),
                         parity="even" if n % 2 == 0 else "odd")

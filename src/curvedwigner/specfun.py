@@ -225,7 +225,7 @@ def hyper_3f2_terminating(
 
 def gegenbauer(n: int, alpha: float, xi: float) -> float:
     """Gegenbauer (ultraspherical) polynomial C_n^alpha(xi) by the
-    three-term recurrence."""
+    three-term recurrence; ``xi`` may be a scalar or an array."""
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     if n == 0:
@@ -249,7 +249,8 @@ def gegenbauer_2f1_form(n: int, alpha: float, xi: float) -> float:
 
 
 def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x)."""
+    """Physicists' Hermite polynomial H_n(x); ``x`` may be a scalar or an
+    array."""
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     if n == 0:

@@ -49,7 +49,7 @@ from .oscillator import (
 from .quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from .specfun import gamma_abs_squared, gegenbauer, gegenbauer_2f1_form
 from .wigner import (
-    flat_ho_wigner,
+    contraction_report,
     marginal_momentum_integrated,
     marginal_position_integrated,
     total_probability,
@@ -258,19 +258,7 @@ def criterion_contraction(tol_scale: float = 1.0) -> CriterionResult:
 
     # (c) Wigner contraction at s = 30
     tol_c = 0.05 * tol_scale
-    devs_c = []
-    pts = np.linspace(0.0, 3.0, 13)
-    for n in range(4):
-        state = BoundStateLabel(n, params30)
-        chi_c = pts / math.sqrt(30.0)
-        qs_c = pts * math.sqrt(30.0)
-        chi_c[0] = 0.0
-        grid = wigner_grid(state, chi_c, qs_c)
-        flat = np.array([[flat_ho_wigner(n, params30.mu, params30.omega, c, q / params30.R)
-                          for q in qs_c] for c in chi_c])
-        peak = float(np.max(np.abs(flat)))
-        mask = np.abs(flat) > 0.05 * peak
-        devs_c.append(float(np.max(np.abs(grid.values - flat)[mask]) / peak))
+    devs_c = [contraction_report(n, [30.0]).deviations[0] for n in range(4)]
     ok_c = max(devs_c) <= tol_c
 
     passed = ok_a and ok_b and ok_c

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -9,6 +10,7 @@ from curvedwigner.cli import (
     FIGURE1_DEPTHS,
     GridSpec,
     RunConfig,
+    _build_parser,
     main,
     run_eigen,
     run_figure1,
@@ -27,6 +29,36 @@ from curvedwigner.oscillator import (
 def collect():
     lines = []
     return lines, lines.append
+
+
+# The RunConfig fields each command reads; per field, its flag with a value
+# and the same value as a config-file entry.
+READS = {
+    "eigen": {"mu", "omega", "s", "radius", "out_dir"},
+    "wavefun": {"mu", "omega", "s", "radius", "n_list", "grid", "out_dir"},
+    "wigner": {"mu", "omega", "s", "radius", "n_list", "grid", "evaluator",
+               "out_dir", "formats"},
+    "figure1": {"mu", "s", "radius", "n_list", "grid", "evaluator", "out_dir",
+                "formats"},
+    "verify": {"out_dir", "tol"},
+}
+SMALL_GRID = {"chi_min": 0.0, "chi_max": 1.0, "n_chi": 3, "p_min": 0.0, "p_max": 1.0, "n_p": 3}
+FIELD_VALUES = {
+    "mu": ("--mu", "1", 1.0), "omega": ("--omega", "5", 5.0),
+    "s": ("--s", "4", 4.0), "radius": ("--R", "1", 1.0),
+    "n_list": ("--n", "0", [0]), "grid": ("--grid", "0:1:3,0:1:3", SMALL_GRID),
+    "evaluator": ("--evaluator", "quad", "quad"), "out_dir": ("--out", "x", "x"),
+    "formats": ("--format", "csv", ["csv"]), "tol": ("--tol", "1", 1.0),
+}
+UNREAD = [(cmd, key) for cmd in READS for key in FIELD_VALUES if key not in READS[cmd]]
+
+
+def valid_argv(command, out):
+    """Arguments every command runs with (cheaply) when nothing is added."""
+    small = ["--n", "0", "--grid", "0:1:3,0:1:3", "--out", str(out)]
+    return {"eigen": ["--s", "4"], "wavefun": ["--s", "4"] + small,
+            "wigner": ["--s", "4"] + small, "figure1": small,
+            "verify": ["--out", str(out)]}[command]
 
 
 class TestEigen:
@@ -48,6 +80,15 @@ class TestEigen:
         assert rows == []
         assert any("bound states: 0" in ln for ln in lines)
 
+    def test_threshold_marker_agrees_with_wavefun(self, tmp_path, capsys):
+        # omega = 4.47213595499958 puts s one ulp-scale step above 4: the
+        # n = 4 level is a threshold level for both commands
+        assert main(["eigen", "--omega", "4.47213595499958"]) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines() if "n=  4" in ln]
+        assert len(line) == 1 and "threshold level" in line[0]
+        assert main(["wavefun", "--omega", "4.47213595499958", "--n", "4",
+                     "--out", str(tmp_path)]) == 2
+
     def test_writes_csv(self, tmp_path):
         cfg = RunConfig(command="eigen", s=4.0, out_dir=str(tmp_path))
         run_eigen(cfg, echo=lambda s: None)
@@ -59,8 +100,7 @@ class TestEigen:
 class TestConfigHandling:
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({"s": 4.0, "n_list": [0, 1],
-                                        "formats": ["csv"]}))
+        cfg_file.write_text(json.dumps({"s": 4.0}))
         out = tmp_path / "out"
         rc = main(["eigen", "--config", str(cfg_file), "--s", "30", "--out", str(out)])
         assert rc == 0
@@ -123,8 +163,10 @@ class TestConfigHandling:
         ([], {"formats": "csv"}),
         (["--evaluator", "closed"], None),
         ([], {"evaluator": "closed"}),
+        ([], {"n_list": []}),
     ], ids=["infinite_extent", "float_count", "bool_count", "string_extent",
-            "scalar_n_list", "string_formats", "closed_flag", "closed_in_config"])
+            "scalar_n_list", "string_formats", "closed_flag", "closed_in_config",
+            "empty_n_list"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, flags, config):
         argv = ["wigner", "--s", "4", "--out", str(tmp_path / "out")] + flags
         if config is not None:
@@ -137,6 +179,39 @@ class TestConfigHandling:
             rc = exc.code
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_each_command_offers_exactly_its_flags(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        offered = {name: {a.dest for a in p._actions if a.dest != "help"}
+                   for name, p in sub.choices.items()}
+        assert offered == {name: reads | {"config"} for name, reads in READS.items()}
+        assert sum(map(len, offered.values())) == 36 and len(UNREAD) == 19
+
+    @pytest.mark.parametrize("command,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, key):
+        flag, text, _ = FIELD_VALUES[key]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *valid_argv(command, tmp_path / "out"), flag, text])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_unread_config_key_exits_two(self, tmp_path, capsys, command, key):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: FIELD_VALUES[key][2]}))
+        argv = [command, *valid_argv(command, tmp_path / "out"), "--config", str(cfg_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"[{key!r}]" in err and command in err
+
+    @pytest.mark.parametrize("command", ["wavefun", "wigner", "figure1"])
+    def test_manifest_echoes_the_fields_read(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, *valid_argv(command, out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert set(doc["config"]) == READS[command] | {"command"}
+        assert doc["config"]["command"] == command
 
     def test_numeric_exit_code_mapping(self):
         from curvedwigner.errors import (DomainError, NonconvergenceError,
