@@ -8,7 +8,11 @@ timestamps are recorded, and JSON keys are sorted.
 Both CSV routes share one writer and convert each value they are given to
 text once: a column is formatted in a single pass, and a grid file formats
 each chi and each pR axis value once per file (not once per point) beside
-one conversion per W value, then joins the strings row by row.
+one conversion per W value.  The writer takes the text a block of rows at
+a time and writes each block as it comes, and a grid file is formatted a
+block of chi rows at a time, so a file's text is never held whole: the
+peak memory of a grid route is the grid's values plus a fixed block of
+text.  Checksums read files in chunks.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ __all__ = [
     "validate_manifest",
 ]
 
+_CSV_BLOCK_POINTS = 2 ** 11  # grid values formatted per block of chi rows
+
 
 def format_value(v: float) -> str:
     """Locale-independent decimal with 17 significant digits (round-trips
@@ -48,14 +54,18 @@ def _format_column(values) -> list[str]:
     return [format(v, ".17g") for v in values.tolist()]
 
 
-def _write_csv(path: Path, column_names, text_columns, comments) -> Path:
+def _write_csv(path: Path, column_names, blocks, comments) -> Path:
     """The one CSV writer: '#'-prefixed comment lines, one header row, then
-    equal-length columns of formatted numbers joined row by row."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(column_names))
-    lines += map(",".join, zip(*text_columns))
-    lines.append("")  # trailing newline
-    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    each block (equal-length columns of formatted numbers) joined row by
+    row and written as it comes."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(column_names) + "\n")
+        for text_columns in blocks:
+            text = "\n".join(map(",".join, zip(*text_columns)))
+            if text:
+                fh.write(text)
+                fh.write("\n")
     return path
 
 
@@ -68,20 +78,29 @@ def emit_csv(path, column_names, columns, comments=()) -> Path:
     length = len(cols[0])
     if any(len(c) != length for c in cols):
         raise ValueError("columns must have equal length")
-    return _write_csv(Path(path), column_names, [_format_column(c) for c in cols], comments)
+    return _write_csv(Path(path), column_names, [[_format_column(c) for c in cols]], comments)
 
 
 def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
     """Grid values in row-major chi-outer order with axis columns
-    (chi dimensionless, pR dimensionless, W in units of 1/(R dchi dp))."""
+    (chi dimensionless, pR dimensionless, W in units of 1/(R dchi dp)),
+    formatted and written whole chi rows at a time, about
+    _CSV_BLOCK_POINTS values per block."""
     nc, nq = grid.values.shape
-    chi = [c for c in _format_column(grid.chi_axis) for _ in range(nq)]
-    q = _format_column(grid.pR_axis) * nc
-    w = _format_column(grid.values.reshape(-1))
+    chi = _format_column(grid.chi_axis)
+    q = _format_column(grid.pR_axis)
+    step = max(1, _CSV_BLOCK_POINTS // nq)
+
+    def blocks():
+        for start in range(0, nc, step):
+            rows = chi[start:start + step]
+            yield ([c for c in rows for _ in range(nq)], q * len(rows),
+                   _format_column(grid.values[start:start + step].reshape(-1)))
+
     meta = [f"evaluator={grid.evaluator_tag}",
             f"n={grid.state_meta.get('n')} s={format_value(grid.state_meta.get('s'))} "
             f"R={format_value(grid.state_meta.get('R'))}"]
-    return _write_csv(Path(path), ["chi", "pR", "W"], [chi, q, w], list(comments) + meta)
+    return _write_csv(Path(path), ["chi", "pR", "W"], blocks(), list(comments) + meta)
 
 
 def read_csv(path):
@@ -114,7 +133,10 @@ def emit_pgm(grid: WignerGrid, path) -> Path:
     v = grid.values
     vmin, vmax = float(v.min()), float(v.max())
     if vmax > vmin:
-        levels = np.rint(255.0 * (v - vmin) / (vmax - vmin)).astype(np.uint8)
+        t = v - vmin  # 255 (v - vmin) / (vmax - vmin), in place and in that order
+        t *= 255.0
+        t /= vmax - vmin
+        levels = np.rint(t, out=t).astype(np.uint8)
         # mapped level of value 0, possibly outside [0, 255] when 0 is
         # outside the data range (recorded unclamped)
         zero_gray = int(np.rint(255.0 * (0.0 - vmin) / (vmax - vmin)))
@@ -124,7 +146,9 @@ def emit_pgm(grid: WignerGrid, path) -> Path:
     img = levels.T[::-1, :]  # rows: pR descending; cols: chi ascending
     header = (f"P5\n# min={format_value(vmin)} max={format_value(vmax)} zero_gray={zero_gray}\n"
               f"{img.shape[1]} {img.shape[0]}\n255\n")
-    path.write_bytes(header.encode("ascii") + img.tobytes())
+    with path.open("wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(img.tobytes())
     return path
 
 
@@ -149,7 +173,9 @@ def read_pgm(path):
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 

@@ -3,7 +3,8 @@
 Subcommands: eigen, wavefun, wigner, figure1, verify.  COMMANDS lists the
 RunConfig fields each one reads; a command takes the flags of those fields
 (FLAGS) and --config, a JSON file whose keys may name only those fields.
-Flags override the file, and the manifest echoes exactly those fields.
+Flags override the file, and the manifest echoes exactly those fields but
+out_dir, so it does not depend on where a run writes.
 Exit codes: 0 success, 2 configuration error, 3 numeric nonconvergence,
 4 I/O error.
 """
@@ -110,6 +111,10 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.evaluator not in EVALUATOR_TAGS:
             raise ConfigError(f"evaluator must be one of {sorted(EVALUATOR_TAGS)}")
+        if any(isinstance(v, bool) for v in
+               (self.mu, self.omega, self.s, self.radius, self.tol, *self.n_list)):
+            raise ConfigError("mu, omega, s, R, tol and the mode list take numbers, "
+                              "not booleans")
         if self.omega is not None and self.s is not None:
             raise ConfigError("give either --omega or --s, not both")
         if self.mu <= 0 or self.radius <= 0:
@@ -192,8 +197,11 @@ def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
 
 
 def _config_echo(config: RunConfig) -> dict:
+    """The fields the command reads, without ``out_dir``: a manifest does
+    not depend on where the run wrote it."""
     doc = asdict(config)
-    return {key: doc[key] for key in ("command", *COMMANDS[config.command][1])}
+    return {key: doc[key] for key in ("command", *COMMANDS[config.command][1])
+            if key != "out_dir"}
 
 
 def run_eigen(config: RunConfig, echo=print) -> list[tuple[int, float]]:
@@ -246,8 +254,15 @@ def run_wavefun(config: RunConfig) -> Path:
     return write_manifest(out, files, _config_echo(config), __version__)
 
 
-def _emit_panel(grid: WignerGrid, out: Path, stem: str, formats) -> list[tuple[Path, str]]:
-    files = []
+def _emit_panel(grid: WignerGrid, R: float, out: Path, stem: str,
+                formats) -> list[tuple[Path, str]]:
+    """The grid's two marginal CSVs, then its CSV and PGM as ``formats`` asks."""
+    mx = marginal_momentum_integrated(grid, R)
+    mp = marginal_position_integrated(grid, R)
+    files = [(emit_csv(out / f"{stem}_marginal_position.csv", ["chi", "prob_density"],
+                       [grid.chi_axis, mx]), "marginal_csv"),
+             (emit_csv(out / f"{stem}_marginal_momentum.csv", ["pR", "prob_density"],
+                       [grid.pR_axis, mp]), "marginal_csv")]
     if "csv" in formats:
         files.append((emit_grid_csv(grid, out / f"{stem}.csv"), "wigner_csv"))
     if "pgm" in formats:
@@ -255,16 +270,6 @@ def _emit_panel(grid: WignerGrid, out: Path, stem: str, formats) -> list[tuple[P
         full = replace(grid, chi_axis=chi_f, pR_axis=q_f, values=v_f)
         files.append((emit_pgm(full, out / f"{stem}.pgm"), "wigner_pgm"))
     return files
-
-
-def _marginal_files(grid: WignerGrid, R: float, out: Path, stem: str) -> list[tuple[Path, str]]:
-    mx = marginal_momentum_integrated(grid, R)
-    mp = marginal_position_integrated(grid, R)
-    f1 = emit_csv(out / f"{stem}_marginal_position.csv", ["chi", "prob_density"],
-                  [grid.chi_axis, mx])
-    f2 = emit_csv(out / f"{stem}_marginal_momentum.csv", ["pR", "prob_density"],
-                  [grid.pR_axis, mp])
-    return [(f1, "marginal_csv"), (f2, "marginal_csv")]
 
 
 def run_wigner(config: RunConfig) -> Path:
@@ -277,9 +282,8 @@ def run_wigner(config: RunConfig) -> Path:
         state = _checked_state(int(n), params)
         grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis(),
                            evaluator=config.evaluator_tag())
-        stem = f"wigner_n{n}"
-        files += _emit_panel(grid, out, stem, config.formats)
-        files += _marginal_files(grid, params.R, out, stem)
+        files += _emit_panel(grid, params.R, out, f"wigner_n{n}", config.formats)
+        del grid  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 
 
@@ -300,9 +304,8 @@ def run_figure1(config: RunConfig) -> Path:
         for n in config.n_list:
             state = _checked_state(int(n), params)
             panel = wigner_grid(state, chi_axis, q_axis, evaluator=config.evaluator_tag())
-            stem = f"figure1_s{s:g}_n{n}"
-            files += _emit_panel(panel, out, stem, config.formats)
-            files += _marginal_files(panel, params.R, out, stem)
+            files += _emit_panel(panel, params.R, out, f"figure1_s{s:g}_n{n}", config.formats)
+            del panel  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 
 

@@ -30,6 +30,7 @@ from .specfun import (
     hermite,
     hyper_3f2_terminating,
     legendre_imag_mu,
+    log_gamma,
 )
 
 __all__ = [
@@ -213,13 +214,13 @@ def _momentum_closed_3f2(state: BoundStateLabel, p: float, log_scale: float = 0.
     """
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
     q = p * R
+    # |G((s-n-ipR)/2)|^2 enters as 2 Re log G: alone it overflows from s ~ 200
     lpref = (log_scale + math.log(R / 2.0)
              + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
                       - math.log(sig) - math.lgamma(n + 1))
-             - 2.0 * math.lgamma(sig))
-    mod2 = gamma_abs_squared(0.5 * (sig - 1j * q))
+             - 2.0 * math.lgamma(sig) + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real)
     f32 = hyper_3f2_terminating(n, 2.0 * s - n + 1.0, 0.5 * (sig - 1j * q), sig + 1.0, sig)
-    return math.exp(lpref) * mod2 * f32
+    return math.exp(lpref) * f32
 
 
 _CALIBRATION_PROBES = (0.45, 0.85, 1.35)  # dimensionless q = p R
@@ -272,10 +273,10 @@ def psi_momentum_hahn(state: BoundStateLabel, p: float) -> complex:
     a = 0.5 * sig
     lpref = (math.log(R / 2.0) - 0.5 * math.log(math.pi)
              + 0.5 * (math.log(sig) + math.lgamma(n + 1) + math.lgamma(2.0 * s - n + 1.0))
-             - math.lgamma(s) - math.lgamma(s + 1.0))
-    mod2 = gamma_abs_squared(0.5 * (sig - 1j * q))
+             - math.lgamma(s) - math.lgamma(s + 1.0)
+             + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real)
     poly = continuous_hahn(n, -q / 2.0, a, a + 1.0, a, a + 1.0)
-    return (-1j) ** n * math.exp(lpref) * mod2 * poly
+    return (-1j) ** n * math.exp(lpref) * poly
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def criterion_marginals(tol_scale: float = 1.0) -> CriterionResult:
         worst_x = max(worst_x, dev_x)
         worst_p = max(worst_p, dev_p)
         worst_tot = max(worst_tot, abs(tot - 1.0))
+        del grid  # one grid alive at a time
     passed = worst_x <= tol and worst_p <= tol and worst_tot <= tol
     return CriterionResult(
         "marginals", passed,

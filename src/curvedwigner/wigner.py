@@ -105,6 +105,7 @@ _F21_MAX_TERMS = 200_000
 _BOUND_MARGIN = 1e-6    # relative slack on |W| <= R/pi before the closed form is rejected
 
 _MARGINAL_TAIL_TOL = 1e-5
+_BLOCK_ELEMENTS = 2 ** 13  # engine temporaries per block of chi rows
 
 
 # eq=False: the fields hold arrays, so == and hash() go by identity.
@@ -335,32 +336,55 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     discrepancy).
 
     The correlation of a real profile is even in tau, so each grid is one
-    half-line trapezoid sum, contracted with ``einsum`` (thread-count
-    independent bytes, unlike BLAS).  The midpoint nodes turn the step-h sum
-    into the step-h/2 one, whose values are returned; a discrepancy above
-    max(10 abs_tol, 1e-9 |W|) anywhere raises PrecisionLossError.
+    half-line trapezoid sum.  T (from the largest |chi|), the step h, the
+    nodes and both cos(tau q) matrices are built once per grid; the chi rows
+    then go through in blocks of about _BLOCK_ELEMENTS elements per
+    temporary, written into one output array, so the peak memory is the
+    grid's values plus a fixed budget.  The contraction stays ``einsum``:
+    it sums each output element over the nodes in the same order however
+    many rows a block holds, so the bytes do not depend on the block size,
+    and unlike a BLAS product they do not depend on the thread count either.
+    The midpoint nodes turn the step-h sum into the step-h/2 one, whose
+    values are returned; a discrepancy above max(10 abs_tol, 1e-9 |W|)
+    anywhere raises PrecisionLossError naming the first worst point in
+    row-major order.
     """
     f = bound_sampler(state)
     R = state.params.R
     T = _pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
     h = _spectral_step(float(np.max(np.abs(qs))), state.sigma, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
-
-    def half_line_sum(taus, weights):
-        corr = f(chi[:, None] - taus / 2.0) * f(chi[:, None] + taus / 2.0)
-        return np.einsum("ik,kj->ij", corr * weights, np.cos(np.outer(taus, qs)))
-
+    # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
+    coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, qs))) for taus, weights in
+                             ((k * h, np.where(k == 0, 1.0, 2.0)), ((k[:-1] + 0.5) * h, 2.0))]
     scale = R * h / (2.0 * math.pi)
-    coarse = scale * half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
-    fine = 0.5 * (coarse + scale * half_line_sum((k[:-1] + 0.5) * h, 2.0))
-    err = np.abs(fine - coarse)
-    bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
-    i, j = np.unravel_index(np.argmax(err / bound), err.shape)
-    if err[i, j] > bound[i, j]:
+
+    def half_line_sum(rows, rule):
+        taus, weights, cos = rule
+        corr = f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0)
+        return np.einsum("ik,kj->ij", corr * weights, cos)
+
+    values = np.empty((len(chi), len(qs)))
+    step = max(1, _BLOCK_ELEMENTS // max(len(qs), len(k)))
+    worst, worst_at, discrepancy = -1.0, (0, 0, 0.0, 0.0), 0.0
+    for start in range(0, len(chi), step):
+        rows = chi[start:start + step]
+        coarse = scale * half_line_sum(rows, coarse_rule)
+        fine = 0.5 * (coarse + scale * half_line_sum(rows, mid_rule))
+        values[start:start + step] = fine
+        err = np.abs(fine - coarse)
+        bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+        ratio = err / bound
+        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[i, j] > worst:
+            worst, worst_at = ratio[i, j], (start + i, j, err[i, j], bound[i, j])
+        discrepancy = max(discrepancy, float(err.max()))
+    i, j, err_ij, bound_ij = worst_at
+    if err_ij > bound_ij:
         raise PrecisionLossError(
             f"spectral grid not certified at chi={chi[i]:.6g}, pR={qs[j]:.6g}: "
-            f"step-halving discrepancy {err[i, j]:.2e} exceeds {bound[i, j]:.2e}")
-    return fine, float(err.max())
+            f"step-halving discrepancy {err_ij:.2e} exceeds {bound_ij:.2e}")
+    return values, discrepancy
 
 
 def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
@@ -383,9 +407,11 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
     if evaluator == "quadrature":
         f = bound_sampler(state)
         R = state.params.R
-        vals = np.array([_quadrature_row(f, f, float(c), qs / R, R, spec) for c in chi])
-        values = vals.real
-        imag = float(np.max(np.abs(vals.imag), initial=0.0))
+        values = np.empty((len(chi), len(qs)))
+        for i, c in enumerate(chi):
+            row = _quadrature_row(f, f, float(c), qs / R, R, spec)
+            values[i] = row.real
+            imag = max(imag, float(np.max(np.abs(row.imag), initial=0.0)))
     elif evaluator == "closed_form":
         values = _closed_grid(state, chi, qs)
     else:
@@ -416,6 +442,20 @@ def _axis_fold_factor(axis: np.ndarray, what: str) -> float:
     return 2.0
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """np.trapezoid(y, x, axis=axis) bit for bit, with one temporary the
+    size of y instead of three."""
+    d = np.diff(x)
+    if axis == 0:
+        t = y[1:] + y[:-1]
+        d = d[:, None]
+    else:
+        t = y[:, 1:] + y[:, :-1]
+    t *= d
+    t /= 2.0
+    return t.sum(axis)
+
+
 def marginal_momentum_integrated(grid: WignerGrid, R: float) -> np.ndarray:
     """integral dp W over the full momentum axis, per chi row; equals
     |psi(chi)|^2 for a diagonal Wigner function.  Quadrant grids are
@@ -423,7 +463,7 @@ def marginal_momentum_integrated(grid: WignerGrid, R: float) -> np.ndarray:
     as they stand."""
     fold = _axis_fold_factor(grid.pR_axis, "pR")
     _support_warning(grid.values[:, -1], grid.pR_axis, "momentum")
-    return fold * np.trapezoid(grid.values, grid.pR_axis, axis=1) / R
+    return fold * _trapezoid(grid.values, grid.pR_axis, axis=1) / R
 
 
 def marginal_position_integrated(grid: WignerGrid, R: float) -> np.ndarray:
@@ -431,7 +471,7 @@ def marginal_position_integrated(grid: WignerGrid, R: float) -> np.ndarray:
     |psi_tilde(p)|^2 in the R dchi normalization."""
     fold = _axis_fold_factor(grid.chi_axis, "chi")
     _support_warning(grid.values[-1, :], grid.chi_axis, "position")
-    return fold * R * np.trapezoid(grid.values, grid.chi_axis, axis=0)
+    return fold * R * _trapezoid(grid.values, grid.chi_axis, axis=0)
 
 
 def total_probability(grid: WignerGrid, R: float) -> float:
@@ -495,25 +535,27 @@ def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
                              scaled_extent=scaled_extent)
 
 
-def _mirror_rows(axis: np.ndarray, values: np.ndarray):
-    """Mirror ``values`` along its first axis when ``axis`` starts at or
-    above 0 (its 0 entry kept once); an axis that already spans negative
-    values stands as it is (as in _axis_fold_factor)."""
+def _mirror_index(axis: np.ndarray):
+    """The axis mirrored about 0 when it starts at or above 0 (its 0 entry
+    kept once), with the index of each new entry into the old axis; an axis
+    that already spans negative values stands as it is (as in
+    _axis_fold_factor)."""
+    idx = np.arange(len(axis))
     if axis[0] < -1e-12:
-        return axis, values
+        return axis, idx
     drop = 1 if abs(axis[0]) <= 1e-12 else 0
     return (np.concatenate([-axis[::-1], axis[drop:]]),
-            np.concatenate([values[::-1], values[drop:]]))
+            np.concatenate([idx[::-1], idx[drop:]]))
 
 
 def reflect_quadrant(grid: WignerGrid):
     """Mirror a quadrant grid across both axes for full-plane rendering.
 
-    Returns (chi_full, pR_full, values_full).  Only axes starting at or above
-    0 are mirrored, and the first row/column is only duplicated when its
-    axis starts above 0; an axis that already spans negative values is
-    rendered as it stands.
+    Returns (chi_full, pR_full, values_full), the values gathered by one
+    fancy index.  Only axes starting at or above 0 are mirrored, and the
+    first row/column is only duplicated when its axis starts above 0; an
+    axis that already spans negative values is rendered as it stands.
     """
-    chi_full, v = _mirror_rows(grid.chi_axis, grid.values)
-    q_full, vt = _mirror_rows(grid.pR_axis, v.T)
-    return chi_full, q_full, np.ascontiguousarray(vt.T)
+    chi_full, rows = _mirror_index(grid.chi_axis)
+    q_full, cols = _mirror_index(grid.pR_axis)
+    return chi_full, q_full, grid.values[np.ix_(rows, cols)]

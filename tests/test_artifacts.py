@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from curvedwigner import artifacts
 from curvedwigner.artifacts import (
     emit_csv,
     emit_grid_csv,
@@ -82,6 +83,26 @@ class TestCsv:
             f"{format_value(c)},{format_value(p)},{format_value(grid.values[i, j])}\n"
             for i, c in enumerate(grid.chi_axis) for j, p in enumerate(grid.pR_axis))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("shape", [(601, 401), (50, 333), (3, 5000)],
+                             ids=["criterion2", "partial_last_block", "one_row_per_block"])
+    def test_grid_csv_blocks_equal_one_join(self, tmp_path, shape):
+        rng = np.random.default_rng(11)
+        grid = WignerGrid(np.sort(rng.uniform(-2.0, 6.0, shape[0])),
+                          np.linspace(0.0, 12.0, shape[1]),
+                          rng.normal(scale=0.3, size=shape), "spectral",
+                          {"n": 3, "s": 4.0, "R": 1.0})
+        assert grid.values.size >= 3 * artifacts._CSV_BLOCK_POINTS
+        # the whole file's text joined at once
+        nc, nq = shape
+        chi = [format_value(c) for c in grid.chi_axis for _ in range(nq)]
+        q = [format_value(p) for p in grid.pR_axis] * nc
+        w = [format_value(v) for v in grid.values.reshape(-1)]
+        lines = ["# note", "# evaluator=spectral", "# n=3 s=4 R=1", "chi,pR,W"]
+        lines += map(",".join, zip(chi, q, w))
+        lines.append("")
+        path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["note"])
+        assert path.read_bytes() == "\n".join(lines).encode("utf-8")
 
     def test_grid_csv_rejects_nonfinite_axis(self, tmp_path):
         grid = WignerGrid(np.array([0.0, np.inf]), np.arange(2.0), np.zeros((2, 2)),

@@ -164,9 +164,12 @@ class TestConfigHandling:
         (["--evaluator", "closed"], None),
         ([], {"evaluator": "closed"}),
         ([], {"n_list": []}),
+        ([], {"mu": True}),
+        ([], {"radius": True}),
+        ([], {"n_list": [True]}),
     ], ids=["infinite_extent", "float_count", "bool_count", "string_extent",
             "scalar_n_list", "string_formats", "closed_flag", "closed_in_config",
-            "empty_n_list"])
+            "empty_n_list", "bool_mu", "bool_radius", "bool_mode"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, flags, config):
         argv = ["wigner", "--s", "4", "--out", str(tmp_path / "out")] + flags
         if config is not None:
@@ -179,6 +182,21 @@ class TestConfigHandling:
             rc = exc.code
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [("eigen", "s"), ("eigen", "omega"),
+                                             ("verify", "tol")])
+    def test_boolean_number_exits_two(self, tmp_path, capsys, command, key):
+        # JSON true is not the number 1
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({key: True}))
+        assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+        assert "not booleans" in capsys.readouterr().err
+
+    def test_manifest_independent_of_out_dir(self, tmp_path):
+        for name in ("a", "b"):
+            assert main(["wavefun", *valid_argv("wavefun", tmp_path / name)]) == 0
+        assert ((tmp_path / "a" / "manifest.json").read_bytes()
+                == (tmp_path / "b" / "manifest.json").read_bytes())
 
     def test_each_command_offers_exactly_its_flags(self):
         sub = next(a for a in _build_parser()._actions
@@ -210,7 +228,7 @@ class TestConfigHandling:
         out = tmp_path / "out"
         assert main([command, *valid_argv(command, out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
-        assert set(doc["config"]) == READS[command] | {"command"}
+        assert set(doc["config"]) == READS[command] - {"out_dir"} | {"command"}
         assert doc["config"]["command"] == command
 
     def test_numeric_exit_code_mapping(self):
@@ -232,6 +250,20 @@ class TestWavefun:
         names, cols = read_csv(tmp_path / "wavefun_n0.csv")
         assert names == ["chi", "psi"]
         assert cols[1][0] == pytest.approx(1.04582503, abs=1e-6)
+
+
+    def test_deep_well_runs(self, tmp_path):
+        # s = 600: |Gamma((s - n - ipR)/2)|^2 alone overflows a double
+        out = tmp_path / "out"
+        assert main(["wavefun", "--s", "600", "--n", "0,3", "--grid", "0:0.3:16,0:75:16",
+                     "--out", str(out)]) == 0
+        validate_manifest(out / "manifest.json")
+        params = OscillatorParams.from_depth(600.0)
+        for n in (0, 3):
+            _, (q, re_psit, im_psit, abs2) = read_csv(out / f"wavefun_momentum_n{n}.csv")
+            assert np.isfinite(abs2).all() and abs2.max() > 0.0
+            psit = psi_momentum(BoundStateLabel(n, params), q[5] / params.R)
+            assert (re_psit[5], im_psit[5]) == (psit.real, psit.imag)
 
 
 class TestWignerCommand:

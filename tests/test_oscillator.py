@@ -209,6 +209,19 @@ class TestMomentumRepresentation:
                 exact = shapiro_forward_1d(sampler, q / R, R, TIGHT)
                 assert abs(psi_momentum(state, q / R) - exact) < 1e-11
 
+    @pytest.mark.parametrize("s", [200.0, 400.0])
+    def test_matches_transform_beyond_gamma_overflow(self, s):
+        # |Gamma((s - n - ipR)/2)|^2 alone overflows a double from s ~ 200
+        params = OscillatorParams.from_depth(s)
+        for n in (0, 3):
+            state = BoundStateLabel(n, params)
+            sampler = bound_sampler(state)
+            for q in np.linspace(0.0, 3.0 * math.sqrt(s), 4):
+                exact = shapiro_forward_1d(sampler, q, 1.0, TIGHT)
+                assert abs(psi_momentum(state, q) - exact) < 1e-11
+                hahn = psi_momentum_hahn(state, q)
+                assert math.isfinite(abs(hahn))
+
     def test_calibration_constant_value(self, s4_states):
         # the printed closed form overshoots by sqrt(2R) with sign (-1)^n
         for state in s4_states:

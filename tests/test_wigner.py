@@ -268,7 +268,57 @@ def figure1_axes(s, points):
     return u / math.sqrt(s), u * math.sqrt(s)
 
 
+def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
+    """The engine as one einsum over every chi row at once: the step-h/2
+    values, the step-halving discrepancy and its bound, and the node count."""
+    f = bound_sampler(state)
+    R = state.params.R
+    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
+    h = wigner._spectral_step(float(np.max(np.abs(qs))), state.sigma, spec)
+    k = np.arange(int(math.ceil(T / h)) + 1)
+
+    def half_line_sum(taus, weights):
+        corr = f(chi[:, None] - taus / 2.0) * f(chi[:, None] + taus / 2.0)
+        return np.einsum("ik,kj->ij", corr * weights, np.cos(np.outer(taus, qs)))
+
+    scale = R * h / (2.0 * math.pi)
+    coarse = scale * half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
+    fine = 0.5 * (coarse + scale * half_line_sum((k[:-1] + 0.5) * h, 2.0))
+    bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+    return fine, np.abs(fine - coarse), bound, len(k)
+
+
+def rows_per_block(qs, nodes):
+    return max(1, wigner._BLOCK_ELEMENTS // max(len(qs), nodes))
+
+
 class TestSpectralEngine:
+    @pytest.mark.parametrize("s, n, chi, qs", [
+        (4.0, 3, np.linspace(0.0, 8.0, 601), np.linspace(0.0, 12.0, 401)),
+        (30.0, 0, *figure1_axes(30.0, 256)),
+        (4.0, 1, np.linspace(-3.0, 3.0, 97), np.linspace(0.0, 8.0, 9000)),
+    ], ids=["criterion2_s4_n3", "figure1_s30_n0", "one_row_per_block"])
+    def test_row_blocks_equal_whole_grid_einsum(self, s, n, chi, qs):
+        state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+        fine, err, _, nodes = whole_grid_engine(state, chi, qs)
+        assert len(chi) >= 3 * rows_per_block(qs, nodes)
+        values, discrepancy = wigner._spectral_values(state, chi, qs, QuadratureSpec())
+        assert values.tobytes() == fine.tobytes()
+        assert discrepancy == float(err.max())
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_uncertified_grid_names_the_whole_grid_worst_point(self, s4_states, monkeypatch, n):
+        # the worst point sits near chi = 0, in a middle block of this axis
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 0.4)
+        chi, qs = np.linspace(-8.0, 8.0, 601), np.linspace(0.0, 12.0, 401)
+        _, err, bound, nodes = whole_grid_engine(s4_states[n], chi, qs)
+        i, j = np.unravel_index(np.argmax(err / bound), err.shape)
+        assert err[i, j] > bound[i, j] and i >= 3 * rows_per_block(qs, nodes)
+        with pytest.raises(PrecisionLossError) as exc:
+            wigner_grid(s4_states[n], chi, qs)
+        assert (f"chi={chi[i]:.6g}, pR={qs[j]:.6g}: step-halving discrepancy "
+                f"{err[i, j]:.2e} exceeds {bound[i, j]:.2e}") in str(exc.value)
+
     @pytest.mark.parametrize("s", [4.0, 30.0])
     def test_matches_quadrature(self, s):
         params = OscillatorParams.from_depth(s)
