@@ -28,16 +28,13 @@ from .geometry import (
     HyperbolicAngleCoord,
     MomentumLabel,
     ambient_from_angle,
-    bargmann_angle,
     binding_delta_midpoint,
     boost_direction,
     boost_point,
     geodesic_pair,
-    hyperbolic_angle,
     norm_factor,
     shapiro_covariance_check,
     shapiro_forward_1d,
-    shapiro_inverse_1d,
     shapiro_phi,
 )
 from .oscillator import (

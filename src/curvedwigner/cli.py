@@ -4,7 +4,8 @@ Subcommands: eigen, wavefun, wigner, figure1, verify.  COMMANDS lists the
 RunConfig fields each one reads; a command takes the flags of those fields
 (FLAGS) and --config, a JSON file whose keys may name only those fields.
 Flags override the file, and the manifest echoes exactly those fields but
-out_dir, so it does not depend on where a run writes.
+out_dir, so it does not depend on where a run writes.  Every Wigner grid
+the CLI writes comes from the certified spectral engine.
 Exit codes: 0 success, 2 configuration error, 3 numeric nonconvergence,
 4 I/O error.
 """
@@ -46,7 +47,6 @@ __all__ = ["GridSpec", "RunConfig", "main",
 FIGURE1_DEPTHS = (4.0, 30.0)
 FIGURE1_GRID_EXTENT = 4.0
 FIGURE1_GRID_POINTS = 256
-EVALUATOR_TAGS = {"spectral": "spectral", "quad": "quadrature"}
 _OSCILLATOR = ("mu", "omega", "s", "radius")
 # Per command: its help text and the RunConfig fields it reads.
 COMMANDS = {
@@ -54,9 +54,9 @@ COMMANDS = {
     "wavefun": ("wavefunction tables (position and momentum)",
                 _OSCILLATOR + ("n_list", "grid", "out_dir")),
     "wigner": ("Wigner grids on a raw (chi, pR) grid",
-               _OSCILLATOR + ("n_list", "grid", "evaluator", "out_dir", "formats")),
+               _OSCILLATOR + ("n_list", "grid", "out_dir", "formats")),
     "figure1": ("figure-1 panels on scaled axes",
-                ("mu", "s", "radius", "n_list", "grid", "evaluator", "out_dir", "formats")),
+                ("mu", "s", "radius", "n_list", "grid", "out_dir", "formats")),
     "verify": ("acceptance verification suite", ("out_dir", "tol")),
 }
 
@@ -101,7 +101,6 @@ class RunConfig:
     radius: float = 1.0
     n_list: tuple = (0, 1, 2, 3)
     grid: GridSpec | None = None
-    evaluator: str = "spectral"
     out_dir: str | None = None
     formats: tuple = ("csv", "pgm")
     tol: float = 1.0
@@ -109,8 +108,6 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.evaluator not in EVALUATOR_TAGS:
-            raise ConfigError(f"evaluator must be one of {sorted(EVALUATOR_TAGS)}")
         if any(isinstance(v, bool) for v in
                (self.mu, self.omega, self.s, self.radius, self.tol, *self.n_list)):
             raise ConfigError("mu, omega, s, R, tol and the mode list take numbers, "
@@ -132,9 +129,6 @@ class RunConfig:
         if self.omega is None:
             raise ConfigError("need --omega or --s to fix the oscillator")
         return OscillatorParams(self.mu, self.omega, self.radius)
-
-    def evaluator_tag(self) -> str:
-        return EVALUATOR_TAGS[self.evaluator]
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -280,8 +274,7 @@ def run_wigner(config: RunConfig) -> Path:
     files = []
     for n in config.n_list:
         state = _checked_state(int(n), params)
-        grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis(),
-                           evaluator=config.evaluator_tag())
+        grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis())
         files += _emit_panel(grid, params.R, out, f"wigner_n{n}", config.formats)
         del grid  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
@@ -303,7 +296,7 @@ def run_figure1(config: RunConfig) -> Path:
         q_axis = grid.p_axis() * root_s
         for n in config.n_list:
             state = _checked_state(int(n), params)
-            panel = wigner_grid(state, chi_axis, q_axis, evaluator=config.evaluator_tag())
+            panel = wigner_grid(state, chi_axis, q_axis)
             files += _emit_panel(panel, params.R, out, f"figure1_s{s:g}_n{n}", config.formats)
             del panel  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
@@ -330,7 +323,6 @@ FLAGS = {
     "radius": ("--R", {"type": float}),
     "n_list": ("--n", {"type": _parse_modes, "help": "comma-separated mode list, e.g. 0,1,2,3"}),
     "grid": ("--grid", {"type": _parse_grid, "help": "CHI_MIN:CHI_MAX:N,P_MIN:P_MAX:N"}),
-    "evaluator": ("--evaluator", {"choices": tuple(EVALUATOR_TAGS)}),
     "out_dir": ("--out", {}),
     "formats": ("--format", {"type": lambda text: tuple(tok for tok in text.split(",") if tok),
                              "help": "comma-separated subset of csv,pgm"}),

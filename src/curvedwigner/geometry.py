@@ -1,6 +1,6 @@
 """Hyperboloid geometry: ambient Minkowski vectors, the plane-wave (Shapiro)
 basis, geodesic-midpoint machinery, isometry actions, and the 1-D transform
-between position and momentum profiles.
+from position to momentum profiles.
 
 The configuration space is the upper sheet x0^2 - |xs|^2 = R^2, x0 > 0 of a
 two-sheeted hyperboloid in (D+1)-dimensional Minkowski space, 1 <= D <= 3.
@@ -21,12 +21,12 @@ first failing member raises, and the message names its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, OffShellError
-from .quadrature import QuadratureSpec, adaptive_gauss_kronrod, gauss_kronrod_batch
+from .quadrature import QuadratureSpec, gauss_kronrod_batch
 from .sampling import FieldSampler
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "MomentumLabel",
     "BoostParams",
     "ambient_from_angle",
-    "hyperbolic_angle",
     "shapiro_phi",
     "norm_factor",
     "geodesic_pair",
@@ -43,11 +42,7 @@ __all__ = [
     "boost_point",
     "boost_direction",
     "shapiro_covariance_check",
-    "bargmann_angle",
     "shapiro_forward_1d",
-    "shapiro_inverse_1d",
-    "fold_momentum_1d",
-    "fold_angle_1d",
 ]
 
 SHELL_RTOL = 1e-12
@@ -139,24 +134,6 @@ class AmbientVector:
     def minkowski_dot(self, other: "AmbientVector"):
         return _scalar(self.x0 * other.x0 - _dot(self.xs, other.xs))
 
-    def shell_kind(self, radius: float):
-        """Classify against the shells of the given radius: "timelike" for
-        x.x = +R^2 with x0 > 0, "spacelike" for x.x = -R^2, else "free"."""
-        norm2 = self.minkowski_dot(self)
-        tol = SHELL_RTOL * radius * radius
-        kind = np.where((np.abs(norm2 - radius * radius) <= tol) & (self.x0 > 0), "timelike",
-                        np.where(np.abs(norm2 + radius * radius) <= tol, "spacelike", "free"))
-        return _scalar(kind, str)
-
-    def project_timelike(self, radius: float) -> "AmbientVector":
-        """Rescale onto the upper timelike shell (re-normalization helper for
-        slightly off-shell intermediates)."""
-        norm2 = self.minkowski_dot(self)
-        _check((norm2 <= 0) | (self.x0 <= 0), OffShellError,
-               "cannot project a non-timelike vector onto the upper sheet")
-        scale = radius / np.sqrt(norm2)
-        return AmbientVector(self.x0 * scale, self.xs * _col(scale))
-
 
 def _require_shell(x: AmbientVector, radius, kind: str, what: str,
                    rtol: float = SHELL_RTOL) -> None:
@@ -221,15 +198,6 @@ class BoostParams:
 def ambient_from_angle(coord: HyperbolicAngleCoord, radius: float) -> AmbientVector:
     return AmbientVector(radius * np.cosh(coord.chi),
                          _col(radius * np.sinh(coord.chi)) * coord.xi)
-
-
-def hyperbolic_angle(x: AmbientVector, radius: float) -> HyperbolicAngleCoord:
-    _require_shell(x, radius, "timelike", "x")
-    r = np.sqrt(_dot(x.xs, x.xs))
-    apex = np.zeros(x.dim)
-    apex[0] = 1.0  # any direction will do at the apex; take the first axis
-    xi = np.where(_col(r == 0.0), apex, x.xs / _col(np.where(r == 0.0, 1.0, r)))
-    return HyperbolicAngleCoord(np.arcsinh(r / radius), xi)
 
 
 def _basis_exponent(D: int, p, radius):
@@ -360,31 +328,6 @@ def shapiro_covariance_check(D: int, mom: MomentumLabel, x: AmbientVector,
     return _scalar(np.abs(lhs - rhs))
 
 
-def bargmann_angle(zeta: float, phi: float) -> float:
-    """Deformation tan(phi/2) -> exp(-zeta) tan(phi/2) of an angle in
-    (-pi, pi] under a boost of rapidity zeta."""
-    if not -math.pi < phi <= math.pi:
-        raise ValueError("phi must lie in (-pi, pi]")
-    if phi == math.pi:
-        return math.pi
-    return 2.0 * math.atan(math.exp(-zeta) * math.tan(phi / 2.0))
-
-
-def fold_momentum_1d(mom: MomentumLabel):
-    """Fold (p >= 0, n = +-1) into a signed 1-D wavenumber."""
-    if mom.dim != 1:
-        raise ValueError("fold_momentum_1d requires D = 1")
-    return _scalar(mom.n[..., 0] * mom.p)
-
-
-def fold_angle_1d(x: AmbientVector, radius: float):
-    """Fold a point of the 1-D hyperbola into a signed hyperbolic angle."""
-    if x.dim != 1:
-        raise ValueError("fold_angle_1d requires D = 1")
-    _require_shell(x, radius, "timelike", "x")
-    return _scalar(np.arcsinh(x.xs[..., 0] / radius))
-
-
 def _transform_truncation(f: FieldSampler, prefactor: float, spec: QuadratureSpec) -> float:
     tail = 0.1 * spec.abs_tol / max(prefactor, 1e-300)
     return max(4.0, f.envelope.tail_radius(tail))
@@ -396,8 +339,8 @@ def shapiro_forward_1d(f: FieldSampler, p, radius: float,
 
         ft(p) = sqrt(R / 2 pi) * integral dchi exp(-i p R chi) f(chi).
 
-    The signed wavenumber p may be negative.  Together with
-    shapiro_inverse_1d this forms a unitary pair on (dchi, dp).
+    The signed wavenumber p may be negative; the transform is unitary on
+    (dchi, dp).
 
     A scalar p gives a complex scalar; an array of momenta gives one value per p
     from a single batched Gauss-Kronrod call, in which the momenta share the
@@ -417,21 +360,3 @@ def shapiro_forward_1d(f: FieldSampler, p, radius: float,
     vals, _ = gauss_kronrod_batch(integrand, np.full(len(q), -T), np.full(len(q), T), spec, n0)
     vals = pref * vals
     return vals[0] if np.ndim(p) == 0 else vals
-
-
-def shapiro_inverse_1d(ftilde: FieldSampler, chi: float, radius: float,
-                       spec: QuadratureSpec | None = None) -> complex:
-    """Inverse of shapiro_forward_1d:
-
-        f(chi) = sqrt(R / 2 pi) * integral dp exp(+i p R chi) ft(p).
-    """
-    spec = spec or QuadratureSpec()
-    pref = math.sqrt(radius / (2.0 * math.pi))
-    T = _transform_truncation(ftilde, pref, spec)
-
-    def integrand(p):
-        return ftilde(p) * np.exp(1j * p * radius * chi)
-
-    n0 = max(8, int(abs(radius * chi) * T / 3.0) + 1)
-    val, _ = adaptive_gauss_kronrod(integrand, -T, T, spec, initial_panels=n0)
-    return pref * val

@@ -1,8 +1,9 @@
 """The conic oscillator on the hyperbola: a Poschl-Teller sech^2 trough.
 
-Bound states, the quadratic spectrum, momentum-space profiles, scattering
-states, and the flat harmonic-oscillator references used in contraction
-checks.  Bound wavefunctions are normalized with respect to dchi.
+Bound states, the quadratic spectrum, the closed 3F2 momentum-space
+profile, scattering states, and the flat harmonic-oscillator reference used
+in contraction checks.  Bound wavefunctions are normalized with respect to
+dchi.
 
 The printed closed-form momentum profile is off by the constant
 (-1)^n / sqrt(2R); ``psi_momentum`` carries that constant in its prefactor,
@@ -23,9 +24,7 @@ from .geometry import shapiro_forward_1d
 from .quadrature import QuadratureSpec
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
-    continuous_hahn,
     gamma_abs_squared,
-    gauss_2f1,
     gegenbauer,
     hermite,
     hyper_3f2_terminating,
@@ -41,14 +40,11 @@ __all__ = [
     "bound_state_count",
     "energy",
     "psi_bound",
-    "psi_bound_2f1",
     "bound_sampler",
     "momentum_calibration",
     "psi_momentum",
-    "psi_momentum_hahn",
     "psi_scatter",
     "flat_ho_reference",
-    "flat_ho_sampler",
 ]
 
 
@@ -180,29 +176,20 @@ def psi_bound(state: BoundStateLabel, chi):
     return vals if vals.ndim else float(vals)
 
 
-def psi_bound_2f1(state: BoundStateLabel, chi: float) -> float:
-    """Independent route to the same wavefunction through a terminating
-    Gauss hypergeometric series (cross-check of psi_bound)."""
-    state._require_normalizable()
-    n, s, sig = state.n, state.s, state.sigma
-    lpref = (-sig * math.log(2.0) - math.lgamma(sig + 1.0)
-             + 0.5 * (math.log(sig) + math.lgamma(2.0 * s - n + 1.0) - math.lgamma(n + 1)))
-    hyp = gauss_2f1(-n, 2.0 * s - n + 1.0, sig + 1.0, (1.0 - math.tanh(chi)) / 2.0)
-    return math.exp(lpref - sig * math.log(math.cosh(chi))) * hyp.real
-
-
 def bound_sampler(state: BoundStateLabel) -> FieldSampler:
     """FieldSampler for psi_bound with an exact exponential envelope:
-    |psi| <= N 4^(s-n) C_n(1) exp(-(s-n)|chi|)."""
+    |psi| <= N 4^(s-n) C_n(1) exp(-(s-n)|chi|), its amplitude kept as a
+    logarithm (the amplitude overflows a double from s ~ 1000, its square
+    from s ~ 510)."""
     state._require_normalizable()
     sig = state.sigma
     # C_n^{alpha} attains its sup on [-1,1] at the endpoint: (2 alpha)_n / n!
     log_cmax = math.lgamma(2.0 * sig + 1.0 + state.n) - math.lgamma(2.0 * sig + 1.0) - math.lgamma(state.n + 1)
-    amplitude = math.exp(_bound_log_prefactor(state) + sig * 2.0 * math.log(2.0) + log_cmax)
     return FieldSampler(
         func=lambda u: psi_bound(state, u),
-        envelope=DecayEnvelope(amplitude=amplitude, rate=sig),
-        parity="even" if state.n % 2 == 0 else "odd",
+        envelope=DecayEnvelope(
+            log_amplitude=_bound_log_prefactor(state) + sig * 2.0 * math.log(2.0) + log_cmax,
+            rate=sig),
     )
 
 
@@ -257,28 +244,6 @@ def psi_momentum(state: BoundStateLabel, p: float) -> complex:
     return (-1.0) ** state.n * _momentum_closed_3f2(state, p, log_scale)
 
 
-def psi_momentum_hahn(state: BoundStateLabel, p: float) -> complex:
-    """Second closed route through continuous Hahn polynomials,
-
-        (-i)^n R/(2 sqrt(pi)) sqrt((s-n) n! G(2s-n+1)) / (G(s) G(s+1))
-        * |G((s-n-ipR)/2)|^2 * p_n(-pR/2; a, a+1, a, a+1),  a = (s-n)/2.
-
-    Proportional to the 3F2 route by one p-independent constant per state.
-    Note the second and fourth Hahn parameters carry the +1 (the symmetric
-    choice a = b = c = d - 1 does not reproduce the transform).
-    """
-    state._require_normalizable()
-    n, s, sig, R = state.n, state.s, state.sigma, state.params.R
-    q = p * R
-    a = 0.5 * sig
-    lpref = (math.log(R / 2.0) - 0.5 * math.log(math.pi)
-             + 0.5 * (math.log(sig) + math.lgamma(n + 1) + math.lgamma(2.0 * s - n + 1.0))
-             - math.lgamma(s) - math.lgamma(s + 1.0)
-             + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real)
-    poly = continuous_hahn(n, -q / 2.0, a, a + 1.0, a, a + 1.0)
-    return (-1j) ** n * math.exp(lpref) * poly
-
-
 @dataclass(frozen=True)
 class ScatteringStateLabel:
     """Free level above the binding threshold: dimensionless wavenumber
@@ -315,28 +280,6 @@ def flat_ho_reference(n: int, mu: float, omega: float, x1: float) -> float:
         raise DomainError("flat oscillator requires mu * omega > 0")
     lpref = 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
     return math.exp(lpref - 0.5 * mw * x1 * x1) * hermite(n, math.sqrt(mw) * x1)
-
-
-def flat_ho_sampler(n: int, mu: float, omega: float) -> FieldSampler:
-    """FieldSampler for flat_ho_reference (Gaussian decay dominated by an
-    exponential envelope of rate sqrt(mu omega) (n + 2))."""
-    mw = mu * omega
-    rate = math.sqrt(mw) * (n + 2.0)
-    # Gaussian decay beats any exponential: |phi| e^{rate |x|} attains a
-    # finite sup near z = sqrt(mw) x ~ n + 2.
-    zgrid = np.linspace(0.0, n + 14.0, 3000)
-    sup = max(abs(flat_ho_reference(n, mu, omega, z / math.sqrt(mw))) * math.exp((n + 2.0) * z)
-              for z in zgrid)
-    amplitude = 1.05 * sup
-
-    def func(u):
-        arr = np.asarray(u, dtype=float)
-        z = math.sqrt(mw) * arr
-        lpref = 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1))
-        return math.exp(lpref) * np.exp(-0.5 * z * z) * hermite(n, z)
-
-    return FieldSampler(func=func, envelope=DecayEnvelope(amplitude=amplitude, rate=rate),
-                        parity="even" if n % 2 == 0 else "odd")
 
 
 def schrodinger_residual(psi_vals3: tuple[float, float, float], chi: float, h: float,

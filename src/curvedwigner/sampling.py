@@ -1,8 +1,10 @@
 """Field samplers: vectorized profiles with a declared decay envelope.
 
 The envelope is what quadrature code uses to truncate infinite integrals, so
-it must genuinely bound the sampled values: |f(u)| <= amplitude * exp(-rate *
-|u|) everywhere.
+it must genuinely bound the sampled values: |f(u)| <= exp(log_amplitude -
+rate * |u|) everywhere.  The amplitude is carried as its logarithm because
+the bound-state amplitudes are products of Gamma functions that overflow a
+double at large depth, while the truncations only need their logarithms.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ __all__ = ["DecayEnvelope", "FieldSampler"]
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Exponential bound |f(u)| <= amplitude * exp(-rate * |u|)."""
+    """Exponential bound |f(u)| <= exp(log_amplitude - rate * |u|)."""
 
-    amplitude: float
+    log_amplitude: float
     rate: float
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("envelope amplitude must be non-negative")
+        if math.isnan(self.log_amplitude):
+            raise ValueError("envelope log amplitude must be a number")
         if self.rate < 0:
             raise ValueError("envelope rate must be non-negative")
 
@@ -38,10 +40,11 @@ class DecayEnvelope:
             raise DomainError("envelope does not decay; integral cannot be truncated")
         if tail_bound <= 0:
             raise ValueError("tail_bound must be positive")
-        mass = 2.0 * self.amplitude / self.rate
-        if mass <= tail_bound:
+        # log of the envelope's mass 2 amplitude / rate over the whole line
+        excess = self.log_amplitude + math.log(2.0 / self.rate) - math.log(tail_bound)
+        if excess <= 0:
             return 1.0
-        return math.log(mass / tail_bound) / self.rate
+        return excess / self.rate
 
 
 @dataclass(frozen=True)
@@ -49,16 +52,11 @@ class FieldSampler:
     """A complex- or real-valued profile of one real variable.
 
     ``func`` must accept a 1-D numpy array and return an array of the same
-    shape.  ``parity`` is "even", "odd" or None.
+    shape.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     envelope: DecayEnvelope
-    parity: str | None = None
-
-    def __post_init__(self):
-        if self.parity not in (None, "even", "odd"):
-            raise ValueError("parity must be 'even', 'odd' or None")
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))

@@ -23,7 +23,6 @@ __all__ = [
     "gegenbauer_2f1_form",
     "hermite",
     "laguerre",
-    "continuous_hahn",
     "legendre_imag_mu",
 ]
 
@@ -271,21 +270,6 @@ def laguerre(n: int, x: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2.0 * k + 1.0 - x) * cur - k * prev) / (k + 1.0)
     return cur
-
-
-def continuous_hahn(n: int, z: complex, a: float, b: float, c: float, d: float) -> complex:
-    """Continuous Hahn polynomial p_n(z; a, b, c, d) in the Askey-scheme
-    normalization
-
-        p_n(z) = i^n (a+c)_n (a+d)_n / n! *
-                 3F2(-n, n+a+b+c+d-1, a+iz; a+c, a+d; 1).
-
-    ``z`` is the polynomial argument (enters as a + i z).
-    """
-    if n < 0:
-        raise ValueError("n must be a non-negative integer")
-    pref = (1j) ** n * _pochhammer(a + c, n) * _pochhammer(a + d, n) / math.factorial(n)
-    return pref * hyper_3f2_terminating(n, n + a + b + c + d - 1.0, a + 1j * z, a + c, a + d)
 
 
 def legendre_imag_mu(sigma: float, p: float, x: float) -> complex:

@@ -7,20 +7,21 @@ Three routes are provided and must agree:
       W(f, g | chi, p) = (R / 2 pi) * integral dtau
           conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
 
-  by adaptive Gauss-Kronrod panels.  This is the ground truth.  The tau < 0
-  half is folded onto tau in [0, T]: with c(tau) the integrand's profile
-  product, c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two
-  profile arguments, so one integrand over the half line gives the whole
-  integral for diagonal and cross pairs alike, with about half the nodes.
-  A grid is integrated a chi row at a time: the row's pR points form one
-  batch whose panels are tagged with their point, each keeping its own
-  tolerances and panel budget, so every value equals its per-point
-  result.
+  by adaptive Gauss-Kronrod panels.  This is the ground truth: verification
+  criterion 1 and the tests check the other routes against it, and no CLI
+  grid comes from it.  The tau < 0 half is folded onto tau in [0, T]: with
+  c(tau) the integrand's profile product, c(tau) e^{-iq tau} + c(-tau)
+  e^{+iq tau} takes the same two profile arguments, so one integrand over
+  the half line gives the whole integral for diagonal and cross pairs
+  alike, with about half the nodes.  A grid is integrated a chi row at a
+  time: the row's pR points form one batch whose panels are tagged with
+  their point, each keeping its own tolerances and panel budget, so every
+  value equals its per-point result.
 
-* The spectral engine (``wigner_grid``'s default) evaluates a whole grid of
-  a bound state at once.  The correlation corr(chi, tau) =
-  psi(chi - tau/2) psi(chi + tau/2) of a real profile is even in tau, so
-  with q = p R and nodes tau_k = k h
+* The spectral engine (``wigner_grid``'s default, and the only route whose
+  grids the CLI writes) evaluates a whole grid of a bound state at once.
+  The correlation corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2) of a
+  real profile is even in tau, so with q = p R and nodes tau_k = k h
 
       W(chi_i, q_j) = (R / 2 pi) h sum_k w_k corr(chi_i, tau_k) cos(tau_k q_j),
       w_0 = 1, w_k = 2 (k >= 1),
@@ -118,7 +119,6 @@ class WignerGrid:
     values: np.ndarray
     evaluator_tag: str
     state_meta: dict
-    max_imag_residue: float = 0.0
     fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
 
@@ -163,18 +163,19 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
     already under budget, T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate, T
     never decreases in |chi|, so a T taken at the largest |chi| of a grid is
     valid for every row; T <= 2|chi| + max(T(0), 4), and for equal rates
-    T <= max(T(0), 2|chi| + 4).
+    T <= max(T(0), 2|chi| + 4).  The mass is formed as a logarithm from the
+    envelopes' log amplitudes: amp alone overflows a double at large depth.
     """
     rate = f.envelope.rate + g.envelope.rate
     if rate <= 0:
         raise DomainError("both samplers must decay for the correlation integral to truncate")
-    amp = f.envelope.amplitude * g.envelope.amplitude
     budget = 0.1 * spec.abs_tol * 2.0 * math.pi / R
     slow = min(f.envelope.rate, g.envelope.rate)
-    mass = 4.0 * amp * math.exp(-2.0 * slow * abs(chi)) / rate
-    if mass <= budget:
+    excess = (f.envelope.log_amplitude + g.envelope.log_amplitude - 2.0 * slow * abs(chi)
+              + math.log(4.0 / rate) - math.log(budget))
+    if excess <= 0:
         return 2.0 * abs(chi) + 4.0
-    return 2.0 * abs(chi) + 2.0 * math.log(mass / budget) / rate
+    return 2.0 * abs(chi) + 2.0 * excess / rate
 
 
 def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p: float,
@@ -403,22 +404,20 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
     spec = spec or QuadratureSpec()
     chi = np.asarray(chi_axis, dtype=float)
     qs = np.asarray(pR_axis, dtype=float)
-    imag, discrepancy = 0.0, 0.0
+    discrepancy = 0.0
     if evaluator == "quadrature":
         f = bound_sampler(state)
         R = state.params.R
         values = np.empty((len(chi), len(qs)))
         for i, c in enumerate(chi):
-            row = _quadrature_row(f, f, float(c), qs / R, R, spec)
-            values[i] = row.real
-            imag = max(imag, float(np.max(np.abs(row.imag), initial=0.0)))
+            # a real diagonal pair: the folded row's imaginary part is exactly 0
+            values[i] = _quadrature_row(f, f, float(c), qs / R, R, spec).real
     elif evaluator == "closed_form":
         values = _closed_grid(state, chi, qs)
     else:
         values, discrepancy = _spectral_values(state, chi, qs, spec)
     meta = {"n": state.n, "s": state.s, "R": state.params.R}
-    return WignerGrid(chi, qs, values, evaluator, meta, max_imag_residue=imag,
-                      step_discrepancy=discrepancy)
+    return WignerGrid(chi, qs, values, evaluator, meta, step_discrepancy=discrepancy)
 
 
 def _support_warning(edge_values: np.ndarray, axis: np.ndarray, what: str) -> None:
@@ -498,10 +497,6 @@ class ContractionReport:
     s_values: tuple
     deviations: tuple
     scaled_extent: float
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        return all(a > b for a, b in zip(self.deviations, self.deviations[1:]))
 
 
 def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,

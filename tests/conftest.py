@@ -37,7 +37,5 @@ def gaussian_sampler(width=1.0, center=0.0, amplitude=None, phase_k=0.0):
         return vals
 
     # sup of |f| e^{rate |u|} = amp * exp(rate*|center|+ rate^2 w^2 / 2)
-    c = abs(amp) * math.exp(rate * abs(center) + 0.5 * (rate * width) ** 2)
-    parity = "even" if center == 0.0 and phase_k == 0.0 else None
-    return FieldSampler(func=func, envelope=DecayEnvelope(amplitude=c, rate=rate),
-                        parity=parity)
+    log_c = math.log(abs(amp)) + rate * abs(center) + 0.5 * (rate * width) ** 2
+    return FieldSampler(func=func, envelope=DecayEnvelope(log_amplitude=log_c, rate=rate))

@@ -32,14 +32,14 @@ def collect():
 
 
 # The RunConfig fields each command reads; per field, its flag with a value
-# and the same value as a config-file entry.
+# and the same value as a config-file entry.  No command reads "evaluator"
+# any more (every grid comes from the engine), so each must reject it as an
+# unread flag and config key.
 READS = {
     "eigen": {"mu", "omega", "s", "radius", "out_dir"},
     "wavefun": {"mu", "omega", "s", "radius", "n_list", "grid", "out_dir"},
-    "wigner": {"mu", "omega", "s", "radius", "n_list", "grid", "evaluator",
-               "out_dir", "formats"},
-    "figure1": {"mu", "s", "radius", "n_list", "grid", "evaluator", "out_dir",
-                "formats"},
+    "wigner": {"mu", "omega", "s", "radius", "n_list", "grid", "out_dir", "formats"},
+    "figure1": {"mu", "s", "radius", "n_list", "grid", "out_dir", "formats"},
     "verify": {"out_dir", "tol"},
 }
 SMALL_GRID = {"chi_min": 0.0, "chi_max": 1.0, "n_chi": 3, "p_min": 0.0, "p_max": 1.0, "n_p": 3}
@@ -132,8 +132,7 @@ class TestConfigHandling:
                      "p_min": 0.0, "p_max": 3.0, "n_p": 6},
         }))
         out = tmp_path / "out"
-        assert main(["wigner", "--config", str(cfg_file), "--out", str(out),
-                     "--evaluator", "quad"]) == 0
+        assert main(["wigner", "--config", str(cfg_file), "--out", str(out)]) == 0
         names, cols = read_csv(out / "wigner_n0.csv")
         assert len(cols[0]) == 8 * 6
         bad = tmp_path / "bad.json"
@@ -178,7 +177,7 @@ class TestConfigHandling:
             argv += ["--config", str(cfg_file)]
         try:
             rc = main(argv)
-        except SystemExit as exc:  # argparse rejects an unknown --evaluator itself
+        except SystemExit as exc:  # argparse rejects the unread --evaluator itself
             rc = exc.code
         assert rc == 2
         assert "error:" in capsys.readouterr().err
@@ -204,7 +203,7 @@ class TestConfigHandling:
         offered = {name: {a.dest for a in p._actions if a.dest != "help"}
                    for name, p in sub.choices.items()}
         assert offered == {name: reads | {"config"} for name, reads in READS.items()}
-        assert sum(map(len, offered.values())) == 36 and len(UNREAD) == 19
+        assert sum(map(len, offered.values())) == 34 and len(UNREAD) == 21
 
     @pytest.mark.parametrize("command,key", UNREAD, ids=[f"{c}-{k}" for c, k in UNREAD])
     def test_unread_flag_exits_two(self, tmp_path, capsys, command, key):
@@ -301,6 +300,16 @@ class TestWignerCommand:
         assert rc == 3
         assert "not certified" in capsys.readouterr().err
 
+    def test_deep_well_runs(self, tmp_path):
+        # s = 600: the envelope amplitude N 4^(s-n) C_n(1) alone overflows a double
+        out = tmp_path / "out"
+        assert main(["wigner", "--s", "600", "--n", "0,3", "--grid", "0:0.2:8,0:80:8",
+                     "--out", str(out)]) == 0
+        validate_manifest(out / "manifest.json")
+        for n in (0, 3):
+            _, (_, _, w) = read_csv(out / f"wigner_n{n}.csv")
+            assert np.isfinite(w).all() and np.abs(w).max() > 0.0
+
 
 class TestFigure1:
     def test_default_run_shape_and_determinism(self, tmp_path):
@@ -331,6 +340,14 @@ class TestFigure1:
         assert total == pytest.approx(1.0, abs=1e-3)
         _, (q, densp) = read_csv(tmp_path / "figure1_s4_n0_marginal_momentum.csv")
         assert 2.0 * np.trapezoid(densp, q) == pytest.approx(1.0, abs=1e-3)
+
+    def test_deep_well_runs(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["figure1", "--s", "600", "--n", "0,3", "--grid", "0:4:8,0:4:8",
+                     "--out", str(out)]) == 0
+        validate_manifest(out / "manifest.json")
+        _, (_, _, w) = read_csv(out / "figure1_s600_n3.csv")
+        assert np.isfinite(w).all() and np.abs(w).max() > 0.0
 
 
 @pytest.fixture(scope="module")

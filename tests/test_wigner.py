@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_sampler
+from reference_routes import flat_ho_sampler
 from curvedwigner import wigner
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
     bound_sampler,
-    flat_ho_sampler,
     psi_bound,
     psi_momentum,
 )
@@ -101,9 +101,11 @@ class TestQuadratureRoute:
         chi, qs = figure1_axes(s, 7)
         for n in range(4):
             state = BoundStateLabel(n, params)
-            grid = wigner_grid(state, chi, qs, evaluator="quadrature")
-            assert grid.max_imag_residue == 0.0
             f = bound_sampler(state)
+            for c in chi:  # the rows wigner_grid's quadrature route keeps the real part of
+                row = wigner._quadrature_row(f, f, float(c), qs / params.R, params.R,
+                                             QuadratureSpec())
+                assert not row.imag.any()
             for c, q in ((-0.4, 0.9), (0.0, 0.0), (0.8, 3.1)):
                 assert wigner_quadrature_1d(f, f, c, q, params.R).imag == 0.0
 
@@ -238,7 +240,6 @@ class TestGrids:
         assert np.array_equal(g1.values, g2.values)
         gq = wigner_grid(state, chi, qs, evaluator="quadrature")
         assert gq.evaluator_tag == "quadrature"
-        assert gq.max_imag_residue < 1e-10
         assert np.allclose(g1.values, gq.values, atol=1e-8)
 
     def test_eq_and_hash_go_by_identity(self):
@@ -469,7 +470,8 @@ class TestFlatReference:
 class TestContraction:
     def test_deviation_decreases_with_depth(self):
         report = contraction_report(0, [4.0, 10.0, 30.0], points=9)
-        assert report.monotone_decreasing
+        devs = report.deviations
+        assert all(a > b for a, b in zip(devs, devs[1:]))
         assert report.deviations[-1] < 0.02
 
     def test_flat_reference_self_deviation_zero(self):
