@@ -116,7 +116,7 @@ def read_csv(path):
         rows.append([float(tok) for tok in line.split(",")])
     if names is None:
         raise ConfigError(f"{path}: no header row")
-    data = np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     return names, [data[:, i] for i in range(len(names))]
 
 

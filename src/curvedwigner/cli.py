@@ -32,13 +32,7 @@ from .oscillator import (
     psi_bound,
     psi_momentum,
 )
-from .wigner import (
-    WignerGrid,
-    marginal_momentum_integrated,
-    marginal_position_integrated,
-    reflect_quadrant,
-    wigner_grid,
-)
+from .wigner import WignerGrid, reflect_quadrant, wigner_grid
 from .artifacts import emit_csv, emit_grid_csv, emit_pgm, write_manifest
 
 __all__ = ["GridSpec", "RunConfig", "main",
@@ -248,11 +242,24 @@ def run_wavefun(config: RunConfig) -> Path:
     return write_manifest(out, files, _config_echo(config), __version__)
 
 
-def _emit_panel(grid: WignerGrid, R: float, out: Path, stem: str,
+def _emit_panel(grid: WignerGrid, state: BoundStateLabel, out: Path, stem: str,
                 formats) -> list[tuple[Path, str]]:
-    """The grid's two marginal CSVs, then its CSV and PGM as ``formats`` asks."""
-    mx = marginal_momentum_integrated(grid, R)
-    mp = marginal_position_integrated(grid, R)
+    """The grid's two marginal CSVs, then its CSV and PGM as ``formats`` asks.
+
+    The marginals are |psi(chi)|^2 and |psi~(p)|^2 at the grid's own axis
+    points, the exact marginals of the sum the engine evaluates, not an
+    integral over the display window.  The engine's
+    W_h(chi, q) = (R h / 2 pi) sum_k w_k c(chi, tau_k) cos(tau_k q) has
+    period 2 pi / h in q; integrated over one period and divided by R, every
+    k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left, with
+    no truncation and no step.  integral R dchi W = |psi~(p)|^2 is the
+    paper's identity, which verification criterion 2 checks for the engine
+    on a grid covering the support, and criterion 9 checks the 3F2 form of
+    psi~ against the numerical transform.
+    """
+    R = state.params.R
+    mx = psi_bound(state, grid.chi_axis) ** 2
+    mp = [abs(psi_momentum(state, q / R)) ** 2 for q in grid.pR_axis]
     files = [(emit_csv(out / f"{stem}_marginal_position.csv", ["chi", "prob_density"],
                        [grid.chi_axis, mx]), "marginal_csv"),
              (emit_csv(out / f"{stem}_marginal_momentum.csv", ["pR", "prob_density"],
@@ -275,7 +282,7 @@ def run_wigner(config: RunConfig) -> Path:
     for n in config.n_list:
         state = _checked_state(int(n), params)
         grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis())
-        files += _emit_panel(grid, params.R, out, f"wigner_n{n}", config.formats)
+        files += _emit_panel(grid, state, out, f"wigner_n{n}", config.formats)
         del grid  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 
@@ -297,7 +304,7 @@ def run_figure1(config: RunConfig) -> Path:
         for n in config.n_list:
             state = _checked_state(int(n), params)
             panel = wigner_grid(state, chi_axis, q_axis)
-            files += _emit_panel(panel, params.R, out, f"figure1_s{s:g}_n{n}", config.formats)
+            files += _emit_panel(panel, state, out, f"figure1_s{s:g}_n{n}", config.formats)
             del panel  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 

@@ -71,7 +71,6 @@ the absolute tolerance (derivation in ``_pair_truncation``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,6 @@ Q_EXTRAP = 0.03         # |pR| below this uses the even-in-q extrapolation
 _F21_MAX_TERMS = 200_000
 _BOUND_MARGIN = 1e-6    # relative slack on |W| <= R/pi before the closed form is rejected
 
-_MARGINAL_TAIL_TOL = 1e-5
 _BLOCK_ELEMENTS = 2 ** 13  # engine temporaries per block of chi rows
 
 
@@ -420,24 +418,15 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
     return WignerGrid(chi, qs, values, evaluator, meta, step_discrepancy=discrepancy)
 
 
-def _support_warning(edge_values: np.ndarray, axis: np.ndarray, what: str) -> None:
-    if len(axis) < 2:
-        return
-    tail = float(np.max(np.abs(edge_values))) * (axis[-1] - axis[-2]) * 10.0
-    if tail > _MARGINAL_TAIL_TOL:
-        warnings.warn(
-            f"{what} marginal: grid support looks insufficient "
-            f"(estimated tail {tail:.2e})", stacklevel=3)
-
-
 def _axis_fold_factor(axis: np.ndarray, what: str) -> float:
     """2 for a quadrant axis starting at 0 (even reflection supplies the
-    other half), 1 for an axis that already spans negative values."""
+    other half), 1 for an axis that already spans negative values.  An axis
+    starting above 0 misses [-a, a], which no fold recovers: ValueError."""
     if axis[0] < -1e-12:
         return 1.0
     if axis[0] > 1e-12:
-        warnings.warn(f"{what} axis starts above 0; treating grid as a quadrant anyway",
-                      stacklevel=3)
+        raise ValueError(f"{what} axis starts at {axis[0]:.6g} > 0: a marginal needs "
+                         f"an axis from 0 or one spanning negative values")
     return 2.0
 
 
@@ -461,7 +450,6 @@ def marginal_momentum_integrated(grid: WignerGrid, R: float) -> np.ndarray:
     reflected in p before the trapezoid rule; full-plane grids integrate
     as they stand."""
     fold = _axis_fold_factor(grid.pR_axis, "pR")
-    _support_warning(grid.values[:, -1], grid.pR_axis, "momentum")
     return fold * _trapezoid(grid.values, grid.pR_axis, axis=1) / R
 
 
@@ -469,7 +457,6 @@ def marginal_position_integrated(grid: WignerGrid, R: float) -> np.ndarray:
     """integral R dchi W over the full position axis, per pR column; equals
     |psi_tilde(p)|^2 in the R dchi normalization."""
     fold = _axis_fold_factor(grid.chi_axis, "chi")
-    _support_warning(grid.values[-1, :], grid.chi_axis, "position")
     return fold * R * _trapezoid(grid.values, grid.chi_axis, axis=0)
 
 

@@ -74,11 +74,15 @@ class TestEigen:
         rows = run_eigen(RunConfig(command="eigen", s=30.0), echo=lambda s: None)
         assert len(rows) == 31
 
-    def test_free_well_reports_none(self):
+    def test_free_well_reports_none(self, tmp_path):
         lines, echo = collect()
-        rows = run_eigen(RunConfig(command="eigen", omega=0.0), echo=echo)
+        rows = run_eigen(RunConfig(command="eigen", omega=0.0, out_dir=str(tmp_path)),
+                         echo=echo)
         assert rows == []
         assert any("bound states: 0" in ln for ln in lines)
+        # its header-only table reads back as empty columns
+        names, cols = read_csv(tmp_path / "eigen.csv")
+        assert names == ["n", "E"] and [len(c) for c in cols] == [0, 0]
 
     def test_threshold_marker_agrees_with_wavefun(self, tmp_path, capsys):
         # omega = 4.47213595499958 puts s one ulp-scale step above 4: the
@@ -291,6 +295,22 @@ class TestWignerCommand:
         w, h, _, _ = read_pgm(out / "wigner_n1.pgm")
         assert (w, h) == (7, 5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["0:2:9,0.5:6:9", "-1:2:7,-3:3:5"])
+    def test_marginal_files_are_exact_densities(self, tmp_path, grid):
+        # also for axes that start above 0 or span negative values
+        out = tmp_path / "out"
+        assert main(["wigner", "--s", "4", "--n", "0,3", f"--grid={grid}",
+                     "--format", "csv", "--out", str(out)]) == 0
+        params = OscillatorParams.from_depth(4.0)
+        for n in (0, 3):
+            state = BoundStateLabel(n, params)
+            _, (chi, dens) = read_csv(out / f"wigner_n{n}_marginal_position.csv")
+            _, (q, densp) = read_csv(out / f"wigner_n{n}_marginal_momentum.csv")
+            np.testing.assert_array_equal(dens, psi_bound(state, chi) ** 2)
+            np.testing.assert_array_equal(
+                densp, [abs(psi_momentum(state, v / params.R)) ** 2 for v in q])
+
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
@@ -357,11 +377,6 @@ def default_figure1(tmp_path_factory):
     return out
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the marginal files integrate over the display window, which cuts "
-    "the slowly decaying s = 4 tails: figure1_s4_n3_marginal_momentum.csv "
-    "misses |psi~|^2 by 0.217 and starts negative")
 def test_default_figure1_marginals_match_exact_densities(default_figure1):
     cfg = RunConfig(command="figure1")
     worst = {}

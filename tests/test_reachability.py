@@ -71,7 +71,7 @@ def test_every_public_function_is_reached(tmp_path):
     sys.settrace(tracer)
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the tiny grids' marginal-support warnings
+            warnings.simplefilter("error")
             codes = [main(argv) for argv in runs]
     finally:
         sys.settrace(previous)

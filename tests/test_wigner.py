@@ -434,12 +434,13 @@ class TestMarginals:
         _, grid = marginal_grid
         assert total_probability(grid, 1.0) == pytest.approx(1.0, abs=5e-4)
 
-    def test_insufficient_support_warns(self, s4_states):
-        state = s4_states[3]
-        chi = np.linspace(0.0, 1.0, 12)  # far too short for sigma = 1
-        qs = np.linspace(0.0, 2.0, 12)
-        grid = wigner_grid(state, chi, qs)
-        with pytest.warns(UserWarning):
+    def test_axis_starting_above_zero_raises(self, s4_states):
+        # such an axis misses [-a, a]: doubling it would return a wrong marginal
+        grid = wigner_grid(s4_states[0], np.linspace(0.0, 2.0, 9), np.linspace(0.5, 6.0, 9))
+        with pytest.raises(ValueError, match="pR axis"):
+            marginal_momentum_integrated(grid, 1.0)
+        grid = wigner_grid(s4_states[0], np.linspace(0.5, 2.0, 9), np.linspace(0.0, 6.0, 9))
+        with pytest.raises(ValueError, match="chi axis"):
             marginal_position_integrated(grid, 1.0)
 
     def test_full_plane_grid_not_double_counted(self, marginal_grid):
