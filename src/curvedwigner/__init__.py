@@ -3,10 +3,11 @@
 The package covers the one-dimensional conic oscillator (a Poschl-Teller
 sech^2 trough on a hyperbola branch) end to end: special functions, the
 hyperboloid plane-wave basis and geodesic machinery, bound and scattering
-eigenstates with their momentum representations, a certified spectral grid
-engine and quadrature Wigner evaluators with the paper's closed form as an
-independent oracle, marginals and flat-space contraction checks, and a
-deterministic CLI that renders the phase-space panels to CSV/PGM artifacts.
+eigenstates with their momentum representations, one certified spectral
+Wigner grid engine with two independent oracles (the correlation integral by
+quadrature and the paper's closed form), marginals and flat-space contraction
+checks, and a deterministic CLI that renders the phase-space panels to
+CSV/PGM artifacts.
 """
 
 __version__ = "0.1.0"
@@ -58,10 +59,9 @@ from .wigner import (
     flat_ho_wigner,
     marginal_momentum_integrated,
     marginal_position_integrated,
-    reflect_quadrant,
     total_probability,
+    wigner_closed_grid,
     wigner_grid,
-    wigner_pt_closed,
     wigner_quadrature_1d,
 )
 

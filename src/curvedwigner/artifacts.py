@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .wigner import WignerGrid
+from .wigner import WignerGrid, _mirror_index
 
 __all__ = [
     "format_value",
@@ -83,7 +83,7 @@ def emit_csv(path, column_names, columns, comments=()) -> Path:
 
 def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
     """Grid values in row-major chi-outer order with axis columns
-    (chi dimensionless, pR dimensionless, W in units of 1/(R dchi dp)),
+    (chi dimensionless, pR dimensionless, W in units of 1/(dchi dp)),
     formatted and written whole chi rows at a time, about
     _CSV_BLOCK_POINTS values per block."""
     nc, nq = grid.values.shape
@@ -97,9 +97,9 @@ def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
             yield ([c for c in rows for _ in range(nq)], q * len(rows),
                    _format_column(grid.values[start:start + step].reshape(-1)))
 
-    meta = [f"evaluator={grid.evaluator_tag}",
-            f"n={grid.state_meta.get('n')} s={format_value(grid.state_meta.get('s'))} "
-            f"R={format_value(grid.state_meta.get('R'))}"]
+    state = grid.state
+    meta = ["evaluator=spectral",
+            f"n={state.n} s={format_value(state.s)} R={format_value(state.params.R)}"]
     return _write_csv(Path(path), ["chi", "pR", "W"], blocks(), list(comments) + meta)
 
 
@@ -121,13 +121,17 @@ def read_csv(path):
 
 
 def emit_pgm(grid: WignerGrid, path) -> Path:
-    """Binary 8-bit grayscale PGM (magic P5, maxval 255) of the grid.
+    """Binary 8-bit grayscale PGM (magic P5, maxval 255) of the grid's
+    reflected plane: an axis starting at or above 0 is mirrored about 0
+    (W is even in chi and in p), one spanning negative values stands.
 
     Linear map: minimum -> 0 (black), maximum -> 255 (white); half-integer
     gray levels round to nearest-even.  A constant grid renders uniformly at
     gray 128.  One comment line records the value range and the gray level
     of value zero.  Rows run top to bottom from the largest pR; columns left
-    to right with increasing chi.
+    to right with increasing chi.  The reflected plane holds the quadrant's
+    values only, so its range is the quadrant's: the quadrant is quantised
+    and its uint8 levels are mirrored.
     """
     path = Path(path)
     v = grid.values
@@ -143,7 +147,9 @@ def emit_pgm(grid: WignerGrid, path) -> Path:
     else:
         levels = np.full_like(v, 128, dtype=np.uint8)
         zero_gray = 128
-    img = levels.T[::-1, :]  # rows: pR descending; cols: chi ascending
+    _, rows = _mirror_index(grid.chi_axis)
+    _, cols = _mirror_index(grid.pR_axis)
+    img = levels.T[np.ix_(cols[::-1], rows)]  # rows: pR descending; cols: chi ascending
     header = (f"P5\n# min={format_value(vmin)} max={format_value(vmax)} zero_gray={zero_gray}\n"
               f"{img.shape[1]} {img.shape[0]}\n255\n")
     with path.open("wb") as fh:

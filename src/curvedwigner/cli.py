@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -32,7 +32,7 @@ from .oscillator import (
     psi_bound,
     psi_momentum,
 )
-from .wigner import WignerGrid, reflect_quadrant, wigner_grid
+from .wigner import WignerGrid, wigner_grid
 from .artifacts import emit_csv, emit_grid_csv, emit_pgm, write_manifest
 
 __all__ = ["GridSpec", "RunConfig", "main",
@@ -72,7 +72,8 @@ class GridSpec:
         if not all(isinstance(v, Integral) and not isinstance(v, bool)
                    for v in (self.n_chi, self.n_p)):
             raise ConfigError("grid point counts must be integers")
-        if not all(isinstance(v, Real) and math.isfinite(v) for v in (self.chi_min, self.chi_max, self.p_min, self.p_max)):
+        if not all(isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in (self.chi_min, self.chi_max, self.p_min, self.p_max)):
             raise ConfigError("grid extents must be finite numbers")
         if self.n_chi < 2 or self.n_p < 2:
             raise ConfigError("grid needs at least 2 points per axis")
@@ -102,18 +103,24 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if any(isinstance(v, bool) for v in
-               (self.mu, self.omega, self.s, self.radius, self.tol, *self.n_list)):
+        numbers = (self.mu, self.omega, self.s, self.radius, self.tol)
+        if any(isinstance(v, bool) for v in (*numbers, *self.n_list)):
             raise ConfigError("mu, omega, s, R, tol and the mode list take numbers, "
                               "not booleans")
+        if not all(v is None or math.isfinite(v) for v in numbers):
+            raise ConfigError("mu, omega, s, R and tol must be finite numbers")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError("the output directory must be a string")
         if self.omega is not None and self.s is not None:
             raise ConfigError("give either --omega or --s, not both")
         if self.mu <= 0 or self.radius <= 0:
             raise ConfigError("mu and R must be positive")
         if self.tol <= 0:
             raise ConfigError("tolerance scale must be positive")
-        if not self.n_list or any(n < 0 or n != int(n) for n in self.n_list):
+        if not self.n_list or any(not (0 <= n < math.inf) or n != int(n) for n in self.n_list):
             raise ConfigError("mode list must be a non-empty list of non-negative integers")
+        # a mode names files: 2.0 from a config file is mode 2
+        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if not self.formats or any(f not in ("csv", "pgm") for f in self.formats):
             raise ConfigError("formats must be a non-empty subset of {csv, pgm}")
 
@@ -181,7 +188,7 @@ def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
         raise ConfigError(
             f"mode n={n} is outside the normalizable bound range for s={params.s:g} "
             f"({count} level(s), the top one at threshold when s is an integer)")
-    return BoundStateLabel(int(n), params)
+    return BoundStateLabel(n, params)
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -222,7 +229,7 @@ def _wavefun_files(config: RunConfig, out: Path) -> list[tuple[Path, str]]:
     qs = grid.p_axis()
     files = []
     for n in config.n_list:
-        state = _checked_state(int(n), params)
+        state = _checked_state(n, params)
         psi = psi_bound(state, chi)
         f1 = emit_csv(out / f"wavefun_n{n}.csv", ["chi", "psi"], [chi, psi],
                       comments=[f"n={n} s={params.s!r} R={params.R!r}"])
@@ -242,8 +249,7 @@ def run_wavefun(config: RunConfig) -> Path:
     return write_manifest(out, files, _config_echo(config), __version__)
 
 
-def _emit_panel(grid: WignerGrid, state: BoundStateLabel, out: Path, stem: str,
-                formats) -> list[tuple[Path, str]]:
+def _emit_panel(grid: WignerGrid, out: Path, stem: str, formats) -> list[tuple[Path, str]]:
     """The grid's two marginal CSVs, then its CSV and PGM as ``formats`` asks.
 
     The marginals are |psi(chi)|^2 and |psi~(p)|^2 at the grid's own axis
@@ -252,11 +258,12 @@ def _emit_panel(grid: WignerGrid, state: BoundStateLabel, out: Path, stem: str,
     W_h(chi, q) = (R h / 2 pi) sum_k w_k c(chi, tau_k) cos(tau_k q) has
     period 2 pi / h in q; integrated over one period and divided by R, every
     k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left, with
-    no truncation and no step.  integral R dchi W = |psi~(p)|^2 is the
+    no truncation and no step.  integral dchi W = |psi~(p)|^2 is the
     paper's identity, which verification criterion 2 checks for the engine
     on a grid covering the support, and criterion 9 checks the 3F2 form of
     psi~ against the numerical transform.
     """
+    state = grid.state
     R = state.params.R
     mx = psi_bound(state, grid.chi_axis) ** 2
     mp = [abs(psi_momentum(state, q / R)) ** 2 for q in grid.pR_axis]
@@ -267,9 +274,7 @@ def _emit_panel(grid: WignerGrid, state: BoundStateLabel, out: Path, stem: str,
     if "csv" in formats:
         files.append((emit_grid_csv(grid, out / f"{stem}.csv"), "wigner_csv"))
     if "pgm" in formats:
-        chi_f, q_f, v_f = reflect_quadrant(grid)
-        full = replace(grid, chi_axis=chi_f, pR_axis=q_f, values=v_f)
-        files.append((emit_pgm(full, out / f"{stem}.pgm"), "wigner_pgm"))
+        files.append((emit_pgm(grid, out / f"{stem}.pgm"), "wigner_pgm"))
     return files
 
 
@@ -280,9 +285,8 @@ def run_wigner(config: RunConfig) -> Path:
     grid_spec = config.grid or GridSpec(0.0, 3.0, 128, 0.0, 8.0, 128)
     files = []
     for n in config.n_list:
-        state = _checked_state(int(n), params)
-        grid = wigner_grid(state, grid_spec.chi_axis(), grid_spec.p_axis())
-        files += _emit_panel(grid, state, out, f"wigner_n{n}", config.formats)
+        grid = wigner_grid(_checked_state(n, params), grid_spec.chi_axis(), grid_spec.p_axis())
+        files += _emit_panel(grid, out, f"wigner_n{n}", config.formats)
         del grid  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 
@@ -302,9 +306,8 @@ def run_figure1(config: RunConfig) -> Path:
         chi_axis = grid.chi_axis() / root_s
         q_axis = grid.p_axis() * root_s
         for n in config.n_list:
-            state = _checked_state(int(n), params)
-            panel = wigner_grid(state, chi_axis, q_axis)
-            files += _emit_panel(panel, state, out, f"figure1_s{s:g}_n{n}", config.formats)
+            panel = wigner_grid(_checked_state(n, params), chi_axis, q_axis)
+            files += _emit_panel(panel, out, f"figure1_s{s:g}_n{n}", config.formats)
             del panel  # one grid alive at a time
     return write_manifest(out, files, _config_echo(config), __version__)
 

@@ -1,27 +1,10 @@
-"""Wigner quasiprobability evaluators for the 1-D hyperbola.
+"""Wigner quasiprobability of the 1-D hyperbola: one certified grid engine
+and two independent oracles.
 
-Three routes are provided and must agree:
-
-* ``wigner_quadrature_1d`` integrates the defining correlation integral
-
-      W(f, g | chi, p) = (R / 2 pi) * integral dtau
-          conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
-
-  by adaptive Gauss-Kronrod panels.  This is the ground truth: verification
-  criterion 1 and the tests check the other routes against it, and no CLI
-  grid comes from it.  The tau < 0 half is folded onto tau in [0, T]: with
-  c(tau) the integrand's profile product, c(tau) e^{-iq tau} + c(-tau)
-  e^{+iq tau} takes the same two profile arguments, so one integrand over
-  the half line gives the whole integral for diagonal and cross pairs
-  alike, with about half the nodes.  A grid is integrated a chi row at a
-  time: the row's pR points form one batch whose panels are tagged with
-  their point, each keeping its own tolerances and panel budget, so every
-  value equals its per-point result.
-
-* The spectral engine (``wigner_grid``'s default, and the only route whose
-  grids the CLI writes) evaluates a whole grid of a bound state at once.
-  The correlation corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2) of a
-  real profile is even in tau, so with q = p R and nodes tau_k = k h
+* ``wigner_grid`` is the certified spectral engine, the only route whose
+  grids the CLI writes.  It evaluates a whole grid of a bound state at
+  once.  The correlation corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2)
+  of a real profile is even in tau, so with q = p R and nodes tau_k = k h
 
       W(chi_i, q_j) = (R / 2 pi) h sum_k w_k corr(chi_i, tau_k) cos(tau_k q_j),
       w_0 = 1, w_k = 2 (k >= 1),
@@ -31,7 +14,22 @@ Three routes are provided and must agree:
   (2014) 385).  The step is halved once over the whole grid; any
   disagreement raises PrecisionLossError rather than being patched.
 
-* ``wigner_pt_closed`` evaluates the bound-state diagonal W(psi_n | chi, p)
+* ``wigner_quadrature_1d`` integrates the defining correlation integral
+
+      W(f, g | chi, p) = (R / 2 pi) * integral dtau
+          conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
+
+  by adaptive Gauss-Kronrod panels.  This is the ground truth: verification
+  criterion 1 and the tests check the other routes against it.  The tau < 0
+  half is folded onto tau in [0, T]: with c(tau) the integrand's profile
+  product, c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two
+  profile arguments, so one integrand over the half line gives the whole
+  integral for diagonal and cross pairs alike, with about half the nodes.
+  An array of momenta at one chi forms one batch whose panels are tagged
+  with their momentum, each keeping its own tolerances and panel budget, so
+  every value equals its solo result.
+
+* ``wigner_closed_grid`` evaluates the bound-state diagonal W(psi_n | chi, p)
   in closed form: a double sum over (k, k') of gamma-function coefficients
   against a pair of complex-conjugate Gauss hypergeometric functions of
   exp(-4 chi).  The coefficient block used here was re-derived by residue
@@ -86,19 +84,17 @@ __all__ = [
     "DecayEnvelope",
     "QuadratureSpec",
     "WignerGrid",
-    "wigner_quadrature_1d",
-    "wigner_pt_closed",
     "wigner_grid",
+    "wigner_quadrature_1d",
+    "wigner_closed_grid",
     "marginal_momentum_integrated",
     "marginal_position_integrated",
     "total_probability",
     "flat_ho_wigner",
     "contraction_report",
     "ContractionReport",
-    "reflect_quadrant",
 ]
 
-EVALUATORS = ("spectral", "closed_form", "quadrature")
 CHI_MIN = 0.05          # below this |chi| the closed form is not evaluated
 Q_EXTRAP = 0.03         # |pR| below this uses the even-in-q extrapolation
 _F21_MAX_TERMS = 200_000
@@ -110,13 +106,13 @@ _BLOCK_ELEMENTS = 2 ** 13  # engine temporaries per block of chi rows
 # eq=False: the fields hold arrays, so == and hash() go by identity.
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """Rectangular quadrant sample of W over (chi, pR), chi down the rows."""
+    """Rectangular quadrant sample of W over (chi, pR) of ``state``, chi
+    down the rows."""
 
     chi_axis: np.ndarray
     pR_axis: np.ndarray
     values: np.ndarray
-    evaluator_tag: str
-    state_meta: dict
+    state: BoundStateLabel
     fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
 
@@ -132,8 +128,6 @@ class WignerGrid:
             raise ValueError("values shape must be (len(chi_axis), len(pR_axis))")
         if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
-        if self.evaluator_tag not in EVALUATORS:
-            raise ValueError(f"evaluator_tag must be one of {EVALUATORS}")
         object.__setattr__(self, "chi_axis", chi)
         object.__setattr__(self, "pR_axis", q)
         object.__setattr__(self, "values", vals)
@@ -176,20 +170,16 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
     return 2.0 * abs(chi) + 2.0 * excess / rate
 
 
-def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p: float,
-                         R: float, spec: QuadratureSpec | None = None) -> complex:
-    """Direct correlation-integral Wigner value, integrated over tau in
-    [0, T] with the tau < 0 half folded onto it (see ``_quadrature_row``);
-    complex in general, with an imaginary part of exactly 0 when f and g are
-    the same real profile."""
-    return _quadrature_row(f, g, chi, np.array([p]), R, spec or QuadratureSpec())[0]
+def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
+                         R: float, spec: QuadratureSpec | None = None):
+    """Direct correlation-integral Wigner value at one chi, complex in
+    general, with an imaginary part of exactly 0 when f and g are the same
+    real profile.
 
-
-def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray,
-                    R: float, spec: QuadratureSpec) -> np.ndarray:
-    """Correlation-integral W at one chi for every momentum in ``ps``: one
-    batched Gauss-Kronrod call whose integrands share the truncation T and
-    keep their own initial panel count and tolerances.
+    A scalar p gives a complex scalar; an array of momenta gives one value
+    per p from a single batched Gauss-Kronrod call, in which the momenta
+    share the truncation T and each keeps its own initial panel count and
+    tolerances, so every value equals its solo result bit for bit.
 
     With c(tau) = conj f(chi - tau/2) g(chi + tau/2) the integral over
     [-T, T] is folded onto [0, T]:
@@ -204,7 +194,8 @@ def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray
     to the full integral; ``max(4, |q| T / 6 + 1)`` initial panels on
     [0, T] are as wide as ``max(8, |q| T / 3 + 1)`` were on [-T, T].
     """
-    q = ps * R
+    spec = spec or QuadratureSpec()
+    q = np.atleast_1d(np.asarray(p, dtype=float)) * R
     T = _pair_truncation(f, g, chi, R, spec)
 
     def integrand(tau, i):
@@ -218,11 +209,13 @@ def _quadrature_row(f: FieldSampler, g: FieldSampler, chi: float, ps: np.ndarray
 
     n0 = np.maximum(4, (np.abs(q) * T / 6.0).astype(int) + 1)
     vals, _ = gauss_kronrod_batch(integrand, np.zeros(len(q)), np.full(len(q), T), spec, n0)
-    return R / (2.0 * math.pi) * vals
+    vals = R / (2.0 * math.pi) * vals
+    return vals[0] if np.ndim(p) == 0 else vals
 
 
-def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Closed-form W over the grid |chi| x |qs|; DomainError below CHI_MIN.
+def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
+    """Closed-form W over the grid |chi_axis| x |pR_axis| (W is even in
+    both); DomainError below CHI_MIN.
 
     For each (k, k') one 2F1 series runs over the flattened chi x q block;
     elements converge at very different rates (the series slows as
@@ -241,7 +234,8 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.
     that bound, so a grid with any |W| above (1 + _BOUND_MARGIN) R / pi
     raises PrecisionLossError, as does one whose terms overflow.
     """
-    chi, qs = np.abs(chi), np.abs(qs)
+    chi = np.abs(np.asarray(chi_axis, dtype=float))
+    qs = np.abs(np.asarray(pR_axis, dtype=float))
     if np.any(chi < CHI_MIN):
         raise DomainError(f"closed form needs |chi| >= {CHI_MIN}: its 2F1 series "
                           f"does not converge as e^(-4 chi) -> 1")
@@ -306,14 +300,6 @@ def _closed_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray) -> np.
             f"(max |W| = {peak * math.pi / R:.3g} R/pi): its real part cancelled "
             f"catastrophically")
     return values
-
-
-def wigner_pt_closed(state: BoundStateLabel, chi: float, p: float) -> float:
-    """Closed-form Wigner value of a bound state at one point (even in chi
-    and p); an uncertified oracle, DomainError for |chi| < CHI_MIN and
-    PrecisionLossError when its value overflows or exceeds the Wigner bound
-    |W| <= R / pi (catastrophic cancellation at large depth)."""
-    return float(_closed_grid(state, np.array([chi]), np.array([p * state.params.R]))[0, 0])
 
 
 def _spectral_step(q_max: float, sigma: float, spec: QuadratureSpec) -> float:
@@ -386,36 +372,14 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     return values, discrepancy
 
 
-def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis,
-                evaluator: str = "spectral",
-                spec: QuadratureSpec | None = None) -> WignerGrid:
-    """Evaluate W(psi_n | chi, p) on the product grid chi_axis x pR_axis.
-
-    ``spectral`` is the certified engine.  ``quadrature`` runs one batched
-    adaptive Gauss-Kronrod per chi row, equal point by point to
-    ``wigner_quadrature_1d``.  ``closed_form`` is the uncertified oracle,
-    equal point by point to ``wigner_pt_closed``; it raises DomainError when
-    any |chi| is below CHI_MIN.
-    """
-    if evaluator not in EVALUATORS:
-        raise ValueError(f"evaluator must be one of {EVALUATORS}")
-    spec = spec or QuadratureSpec()
+def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis) -> WignerGrid:
+    """W(psi_n | chi, p) on the product grid chi_axis x pR_axis from the
+    certified spectral engine; PrecisionLossError when the step halving
+    disagrees anywhere."""
     chi = np.asarray(chi_axis, dtype=float)
     qs = np.asarray(pR_axis, dtype=float)
-    discrepancy = 0.0
-    if evaluator == "quadrature":
-        f = bound_sampler(state)
-        R = state.params.R
-        values = np.empty((len(chi), len(qs)))
-        for i, c in enumerate(chi):
-            # a real diagonal pair: the folded row's imaginary part is exactly 0
-            values[i] = _quadrature_row(f, f, float(c), qs / R, R, spec).real
-    elif evaluator == "closed_form":
-        values = _closed_grid(state, chi, qs)
-    else:
-        values, discrepancy = _spectral_values(state, chi, qs, spec)
-    meta = {"n": state.n, "s": state.s, "R": state.params.R}
-    return WignerGrid(chi, qs, values, evaluator, meta, step_discrepancy=discrepancy)
+    values, discrepancy = _spectral_values(state, chi, qs, QuadratureSpec())
+    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy)
 
 
 def _axis_fold_factor(axis: np.ndarray, what: str) -> float:
@@ -444,27 +408,28 @@ def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return t.sum(axis)
 
 
-def marginal_momentum_integrated(grid: WignerGrid, R: float) -> np.ndarray:
-    """integral dp W over the full momentum axis, per chi row; equals
-    |psi(chi)|^2 for a diagonal Wigner function.  Quadrant grids are
-    reflected in p before the trapezoid rule; full-plane grids integrate
-    as they stand."""
+def marginal_momentum_integrated(grid: WignerGrid) -> np.ndarray:
+    """integral dp W over the full momentum axis (the grid's pR axis over its
+    R), per chi row; equals |psi(chi)|^2 for a diagonal Wigner function.
+    Quadrant grids are reflected in p before the trapezoid rule; full-plane
+    grids integrate as they stand."""
     fold = _axis_fold_factor(grid.pR_axis, "pR")
-    return fold * _trapezoid(grid.values, grid.pR_axis, axis=1) / R
+    return fold * _trapezoid(grid.values, grid.pR_axis, axis=1) / grid.state.params.R
 
 
-def marginal_position_integrated(grid: WignerGrid, R: float) -> np.ndarray:
-    """integral R dchi W over the full position axis, per pR column; equals
-    |psi_tilde(p)|^2 in the R dchi normalization."""
+def marginal_position_integrated(grid: WignerGrid) -> np.ndarray:
+    """integral dchi W over the full position axis, per pR column; equals
+    |psi_tilde(p)|^2, a density in p (psi and psi_tilde are normalized on
+    dchi and dp)."""
     fold = _axis_fold_factor(grid.chi_axis, "chi")
-    return fold * R * _trapezoid(grid.values, grid.chi_axis, axis=0)
+    return fold * _trapezoid(grid.values, grid.chi_axis, axis=0)
 
 
-def total_probability(grid: WignerGrid, R: float) -> float:
-    """integral R dchi integral dp W over the full plane (quadrant reflected)."""
-    marg = marginal_momentum_integrated(grid, R)
+def total_probability(grid: WignerGrid) -> float:
+    """integral dchi integral dp W over the full plane (quadrant reflected)."""
+    marg = marginal_momentum_integrated(grid)
     fold = _axis_fold_factor(grid.chi_axis, "chi")
-    return float(fold * R * np.trapezoid(marg, grid.chi_axis))
+    return float(fold * np.trapezoid(marg, grid.chi_axis))
 
 
 def flat_ho_wigner(n: int, mu: float, omega: float, x: float, p: float) -> float:
@@ -487,9 +452,7 @@ class ContractionReport:
 
 
 def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
-                       points: int = 13, scaled_extent: float = 3.0,
-                       evaluator: str = "spectral",
-                       spec: QuadratureSpec | None = None) -> ContractionReport:
+                       points: int = 13, scaled_extent: float = 3.0) -> ContractionReport:
     """Compare W(psi_n^s) against the flat Laguerre-Gaussian reference on the
     scaled grid (chi sqrt(s), pR / sqrt(s)) in [0, scaled_extent]^2.
 
@@ -507,7 +470,7 @@ def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
         u = np.linspace(0.0, scaled_extent, points)
         chi = u / math.sqrt(s)
         qs = u * math.sqrt(s)
-        grid = wigner_grid(state, chi, qs, evaluator=evaluator, spec=spec)
+        grid = wigner_grid(state, chi, qs)
         flat = np.array([[flat_ho_wigner(n, mu, params.omega, c, q / R) for q in qs]
                          for c in chi])
         peak = float(np.max(np.abs(flat)))
@@ -528,16 +491,3 @@ def _mirror_index(axis: np.ndarray):
     drop = 1 if abs(axis[0]) <= 1e-12 else 0
     return (np.concatenate([-axis[::-1], axis[drop:]]),
             np.concatenate([idx[::-1], idx[drop:]]))
-
-
-def reflect_quadrant(grid: WignerGrid):
-    """Mirror a quadrant grid across both axes for full-plane rendering.
-
-    Returns (chi_full, pR_full, values_full), the values gathered by one
-    fancy index.  Only axes starting at or above 0 are mirrored, and the
-    first row/column is only duplicated when its axis starts above 0; an
-    axis that already spans negative values is rendered as it stands.
-    """
-    chi_full, rows = _mirror_index(grid.chi_axis)
-    q_full, cols = _mirror_index(grid.pR_axis)
-    return chi_full, q_full, grid.values[np.ix_(rows, cols)]

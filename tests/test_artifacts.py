@@ -15,14 +15,18 @@ from curvedwigner.artifacts import (
     write_manifest,
 )
 from curvedwigner.errors import ConfigError
+from curvedwigner.oscillator import BoundStateLabel, OscillatorParams
 from curvedwigner.wigner import WignerGrid
+
+S4_N0 = BoundStateLabel(0, OscillatorParams.from_depth(4.0))
 
 
 def _toy_grid(values):
+    """Axes from -1 in steps of 1: spanning negative values, they are
+    rendered as they stand."""
     v = np.asarray(values, dtype=float)
-    return WignerGrid(np.arange(v.shape[0], dtype=float),
-                      np.arange(v.shape[1], dtype=float),
-                      v, "closed_form", {"n": 0, "s": 4.0, "R": 1.0})
+    return WignerGrid(np.arange(v.shape[0], dtype=float) - 1.0,
+                      np.arange(v.shape[1], dtype=float) - 1.0, v, S4_N0)
 
 
 class TestCsv:
@@ -62,7 +66,7 @@ class TestCsv:
         path = emit_grid_csv(grid, tmp_path / "g.csv")
         names, cols = read_csv(path)
         assert names == ["chi", "pR", "W"]
-        assert list(cols[0]) == [0.0, 0.0, 1.0, 1.0]  # chi varies slowest
+        assert list(cols[0]) == [-1.0, -1.0, 0.0, 0.0]  # chi varies slowest
         assert list(cols[2]) == [1.0, 2.0, 3.0, 4.0]
 
     @pytest.mark.parametrize("chi, pR, values", [
@@ -75,11 +79,12 @@ class TestCsv:
          np.random.default_rng(3).normal(scale=0.2, size=(7, 11))),
     ], ids=["edge_values", "random_7x11"])
     def test_grid_csv_bytes_equal_format_value_per_point(self, tmp_path, chi, pR, values):
+        state = BoundStateLabel(2, OscillatorParams.from_depth(4.0, R=1.5))
         grid = WignerGrid(np.asarray(chi, dtype=float), np.asarray(pR, dtype=float),
-                          np.asarray(values, dtype=float), "closed_form",
-                          {"n": 2, "s": 4.0, "R": 1.5})
+                          np.asarray(values, dtype=float), state)
         path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["run a", "run b"])
-        expected = "# run a\n# run b\n# evaluator=closed_form\n# n=2 s=4 R=1.5\nchi,pR,W\n" + "".join(
+        expected = (f"# run a\n# run b\n# evaluator=spectral\n# n=2 s={format_value(state.s)} "
+                    "R=1.5\nchi,pR,W\n") + "".join(
             f"{format_value(c)},{format_value(p)},{format_value(grid.values[i, j])}\n"
             for i, c in enumerate(grid.chi_axis) for j, p in enumerate(grid.pR_axis))
         assert path.read_bytes() == expected.encode("utf-8")
@@ -90,23 +95,23 @@ class TestCsv:
         rng = np.random.default_rng(11)
         grid = WignerGrid(np.sort(rng.uniform(-2.0, 6.0, shape[0])),
                           np.linspace(0.0, 12.0, shape[1]),
-                          rng.normal(scale=0.3, size=shape), "spectral",
-                          {"n": 3, "s": 4.0, "R": 1.0})
+                          rng.normal(scale=0.3, size=shape),
+                          BoundStateLabel(3, OscillatorParams.from_depth(4.0)))
         assert grid.values.size >= 3 * artifacts._CSV_BLOCK_POINTS
         # the whole file's text joined at once
         nc, nq = shape
         chi = [format_value(c) for c in grid.chi_axis for _ in range(nq)]
         q = [format_value(p) for p in grid.pR_axis] * nc
         w = [format_value(v) for v in grid.values.reshape(-1)]
-        lines = ["# note", "# evaluator=spectral", "# n=3 s=4 R=1", "chi,pR,W"]
+        lines = ["# note", "# evaluator=spectral", f"# n=3 s={format_value(grid.state.s)} R=1",
+                 "chi,pR,W"]
         lines += map(",".join, zip(chi, q, w))
         lines.append("")
         path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["note"])
         assert path.read_bytes() == "\n".join(lines).encode("utf-8")
 
     def test_grid_csv_rejects_nonfinite_axis(self, tmp_path):
-        grid = WignerGrid(np.array([0.0, np.inf]), np.arange(2.0), np.zeros((2, 2)),
-                          "closed_form", {"n": 0, "s": 4.0, "R": 1.0})
+        grid = WignerGrid(np.array([0.0, np.inf]), np.arange(2.0), np.zeros((2, 2)), S4_N0)
         with pytest.raises(ValueError):
             emit_grid_csv(grid, tmp_path / "g.csv")
 

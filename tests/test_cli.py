@@ -195,6 +195,43 @@ class TestConfigHandling:
         assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
         assert "not booleans" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--s", "nan"],
+        ["figure1", "--mu", "nan"],
+        ["wigner", "--s", "nan", "--n", "0", "--grid", "0:1:3,0:1:3"],
+        ["eigen", "--R", "inf", "--s", "4"],
+        ["verify", "--tol", "inf"],
+        ["verify", "--tol", "nan"],
+    ], ids=["eigen_s_nan", "figure1_mu_nan", "wigner_s_nan", "eigen_R_inf",
+            "verify_tol_inf", "verify_tol_nan"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, argv):
+        # an infinite tolerance scale would certify anything
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "must be finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,config,message", [
+        ("eigen", {"s": 4.0, "out_dir": 5}, "output directory must be a string"),
+        ("wigner", {"s": 4.0, "n_list": [0], "grid": {**GRID, "chi_max": True}},
+         "grid extents must be finite numbers"),
+    ], ids=["numeric_out_dir", "bool_extent"])
+    def test_config_file_type_exits_two(self, tmp_path, capsys, command, config, message):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg_file)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_float_modes_name_files_as_integers(self, tmp_path):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"s": 4.0, "n_list": [2.0], "grid": self.GRID}))
+        assert RunConfig(command="wavefun", n_list=(2.0,)).n_list == (2,)
+        for command in ("wavefun", "wigner"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 0
+            names = sorted(e["path"] for e in validate_manifest(out / "manifest.json")["files"])
+            assert f"{command}_n2.csv" in names and not any("n2.0" in n for n in names)
+            assert json.loads((out / "manifest.json").read_text())["config"]["n_list"] == [2]
+
     def test_manifest_independent_of_out_dir(self, tmp_path):
         for name in ("a", "b"):
             assert main(["wavefun", *valid_argv("wavefun", tmp_path / name)]) == 0

@@ -31,9 +31,9 @@ def traced(tmp_path_factory):
         grid = wigner_grid(state, np.linspace(0.0, 8.0, 601), np.linspace(0.0, 12.0, 401))
         peaks["engine"] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        marginal_momentum_integrated(grid, 1.0)
-        marginal_position_integrated(grid, 1.0)
-        total_probability(grid, 1.0)
+        marginal_momentum_integrated(grid)
+        marginal_position_integrated(grid)
+        total_probability(grid)
         peaks["marginals"] = tracemalloc.get_traced_memory()[1]
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()

@@ -18,9 +18,6 @@ from curvedwigner.cli import main
 KEPT_UNREACHED = {
     "curvedwigner.specfun.digamma":
         "psi_scatter needs it, through the 1-x connection formula, for chi < -1.1",
-    "curvedwigner.wigner.wigner_quadrature_1d":
-        "the correlation integral at one point; perfbench/oracle.py checks CLI grids with it",
-    "curvedwigner.wigner.wigner_pt_closed": "the paper's closed form at one point",
     "curvedwigner.artifacts.read_csv": "reader of the CSV artifact format",
     "curvedwigner.artifacts.read_pgm": "reader of the PGM artifact format",
 }

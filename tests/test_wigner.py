@@ -10,6 +10,7 @@ import pytest
 from conftest import gaussian_sampler
 from reference_routes import flat_ho_sampler
 from curvedwigner import wigner
+from curvedwigner.artifacts import emit_grid_csv, emit_pgm, format_value, read_pgm
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
     BoundStateLabel,
@@ -25,14 +26,18 @@ from curvedwigner.wigner import (
     flat_ho_wigner,
     marginal_momentum_integrated,
     marginal_position_integrated,
-    reflect_quadrant,
     total_probability,
+    wigner_closed_grid,
     wigner_grid,
-    wigner_pt_closed,
     wigner_quadrature_1d,
 )
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+
+
+def closed_point(state, chi, q):
+    """The closed form at one (chi, pR) point, as a 1x1 grid."""
+    return float(wigner_closed_grid(state, [chi], [q])[0, 0])
 
 
 class TestQuadratureRoute:
@@ -102,9 +107,8 @@ class TestQuadratureRoute:
         for n in range(4):
             state = BoundStateLabel(n, params)
             f = bound_sampler(state)
-            for c in chi:  # the rows wigner_grid's quadrature route keeps the real part of
-                row = wigner._quadrature_row(f, f, float(c), qs / params.R, params.R,
-                                             QuadratureSpec())
+            for c in chi:  # rows like those criterion 1 keeps the real part of
+                row = wigner_quadrature_1d(f, f, c, qs / params.R, params.R)
                 assert not row.imag.any()
             for c, q in ((-0.4, 0.9), (0.0, 0.0), (0.8, 3.1)):
                 assert wigner_quadrature_1d(f, f, c, q, params.R).imag == 0.0
@@ -169,24 +173,24 @@ class TestClosedForm:
         for state in s4_states:
             f = bound_sampler(state)
             for (chi, q) in ((0.15, 0.0), (0.4, 1.3), (1.1, 0.45), (2.6, 5.5)):
-                closed = wigner_pt_closed(state, chi, q)
+                closed = closed_point(state, chi, q)
                 quad = wigner_quadrature_1d(f, f, chi, q, 1.0, TIGHT).real
                 assert abs(closed - quad) <= max(2e-9, 2e-6 * abs(quad))
 
     def test_reflection_symmetries(self, s4_states):
         state = s4_states[2]
-        assert wigner_pt_closed(state, -0.7, 1.2) == wigner_pt_closed(state, 0.7, 1.2)
-        assert wigner_pt_closed(state, 0.7, -1.2) == wigner_pt_closed(state, 0.7, 1.2)
+        assert closed_point(state, -0.7, 1.2) == closed_point(state, 0.7, 1.2)
+        assert closed_point(state, 0.7, -1.2) == closed_point(state, 0.7, 1.2)
 
     def test_far_tail_vanishes(self, s4_states):
-        assert abs(wigner_pt_closed(s4_states[0], 7.0, 1.0)) < 1e-8
+        assert abs(closed_point(s4_states[0], 7.0, 1.0)) < 1e-8
 
     def test_near_zero_momentum_consistent(self, s4_states):
         # the reconstructed |q| < Q_EXTRAP strip joins the direct region smoothly
         for state in s4_states:
             f = bound_sampler(state)
             for q in (0.0, 1e-3, 0.029, 0.031, 0.08):
-                closed = wigner_pt_closed(state, 0.12, q)
+                closed = closed_point(state, 0.12, q)
                 quad = wigner_quadrature_1d(f, f, 0.12, q, 1.0, TIGHT).real
                 assert abs(closed - quad) < 5e-7
 
@@ -195,72 +199,68 @@ class TestClosedForm:
         state = s4_states[0]
         for chi in (0.0, 0.02, -0.02, 0.999 * wigner.CHI_MIN):
             with pytest.raises(DomainError):
-                wigner_pt_closed(state, chi, 1.0)
+                closed_point(state, chi, 1.0)
         with pytest.raises(DomainError):
-            wigner_grid(state, np.array([0.02, 0.5]), np.array([0.0, 1.0]),
-                        evaluator="closed_form")
-        assert wigner_pt_closed(state, -wigner.CHI_MIN, 1.0) == \
-            wigner_pt_closed(state, wigner.CHI_MIN, 1.0)
+            wigner_closed_grid(state, np.array([0.02, 0.5]), np.array([0.0, 1.0]))
+        assert closed_point(state, -wigner.CHI_MIN, 1.0) == \
+            closed_point(state, wigner.CHI_MIN, 1.0)
 
     def test_overflow_raises_precision_loss(self):
         # at s = 300 the gamma prefactors overflow near chi = CHI_MIN
         state = BoundStateLabel(0, OscillatorParams.from_depth(300.0))
         with pytest.raises(PrecisionLossError, match="overflows"):
-            wigner_pt_closed(state, 0.06, 1.0)
+            closed_point(state, 0.06, 1.0)
 
     def test_value_above_wigner_bound_raises_precision_loss(self):
         # |W| <= R/pi for every normalized state; at s = 100 the sum cancels
         # to 3.29e226 at this point, and a deep grid exceeds the bound by far
         state = BoundStateLabel(0, OscillatorParams.from_depth(100.0))
         with pytest.raises(PrecisionLossError, match="bound"):
-            wigner_pt_closed(state, 0.06, 1.0)
+            closed_point(state, 0.06, 1.0)
         deep = BoundStateLabel(1, OscillatorParams.from_depth(30.0, R=1.3))
         with pytest.raises(PrecisionLossError, match="bound"):
-            wigner_grid(deep, np.linspace(0.05, 3.0, 60), np.linspace(0.0, 12.0, 61),
-                        evaluator="closed_form")
+            wigner_closed_grid(deep, np.linspace(0.05, 3.0, 60), np.linspace(0.0, 12.0, 61))
 
     def test_values_inside_wigner_bound_pass(self):
         # s = 4 peaks just below R/pi at chi = CHI_MIN, pR = 0
         R = 1.3
         state = BoundStateLabel(0, OscillatorParams.from_depth(4.0, R=R))
-        grid = wigner_grid(state, np.linspace(wigner.CHI_MIN, 3.0, 60),
-                           np.linspace(0.0, 12.0, 61), evaluator="closed_form")
-        assert 0.98 * R / math.pi < np.max(np.abs(grid.values)) <= R / math.pi
+        values = wigner_closed_grid(state, np.linspace(wigner.CHI_MIN, 3.0, 60),
+                                    np.linspace(0.0, 12.0, 61))
+        assert 0.98 * R / math.pi < np.max(np.abs(values)) <= R / math.pi
 
 
 class TestGrids:
-    def test_tags_and_determinism(self, s4_states):
+    def test_tags_and_determinism(self, s4_states, tmp_path):
+        # a grid carries its state; its CSV takes the route tag and labels from it
         state = s4_states[0]
         chi = np.linspace(0.1, 2.0, 6)
         qs = np.linspace(0.0, 4.0, 5)
-        g1 = wigner_grid(state, chi, qs, evaluator="closed_form")
-        g2 = wigner_grid(state, chi, qs, evaluator="closed_form")
-        assert g1.evaluator_tag == "closed_form"
-        assert g1.state_meta["n"] == 0
+        g1 = wigner_grid(state, chi, qs)
+        g2 = wigner_grid(state, chi, qs)
+        assert g1.state is state
         assert np.array_equal(g1.values, g2.values)
-        gq = wigner_grid(state, chi, qs, evaluator="quadrature")
-        assert gq.evaluator_tag == "quadrature"
-        assert np.allclose(g1.values, gq.values, atol=1e-8)
+        assert np.allclose(g1.values, wigner_closed_grid(state, chi, qs), atol=1e-8)
+        lines = emit_grid_csv(g1, tmp_path / "g.csv").read_text().splitlines()
+        assert lines[:2] == ["# evaluator=spectral", f"# n=0 s={format_value(state.s)} R=1"]
 
-    def test_eq_and_hash_go_by_identity(self):
+    def test_eq_and_hash_go_by_identity(self, s4_states):
         def make():
-            return WignerGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), "spectral",
-                              {"n": 0, "s": 4.0, "R": 1.0})
+            return WignerGrid(np.arange(2.0), np.arange(3.0), np.zeros((2, 3)), s4_states[0])
 
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, b, a}) == 2
 
-    def test_validation(self):
+    def test_validation(self, s4_states):
+        state = s4_states[0]
         with pytest.raises(ValueError):
-            WignerGrid(np.array([1.0, 0.5]), np.array([0.0, 1.0]),
-                       np.zeros((2, 2)), "closed_form", {})
-        with pytest.raises(ValueError):
-            WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.full((2, 2), np.nan), "closed_form", {})
+            WignerGrid(np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.zeros((2, 2)), state)
         with pytest.raises(ValueError):
             WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                       np.zeros((2, 2)), "magic", {})
+                       np.full((2, 2), np.nan), state)
+        with pytest.raises(ValueError):
+            WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 3)), state)
 
 
 def figure1_axes(s, points):
@@ -327,7 +327,7 @@ class TestSpectralEngine:
         for n in range(4):
             state = BoundStateLabel(n, params)
             grid = wigner_grid(state, chi, qs)
-            assert grid.evaluator_tag == "spectral"
+            assert grid.state is state
             assert grid.fallback_points == 0
             f = bound_sampler(state)
             # the chi = 0 row, the pR = 0 column and the diagonal
@@ -365,9 +365,12 @@ class TestSpectralEngine:
 
     def test_records_step_discrepancy(self, s4_states):
         chi, qs = figure1_axes(4.0, 17)
-        grid = wigner_grid(s4_states[0], chi, qs, spec=TIGHT)
+        grid = wigner_grid(s4_states[0], chi, qs)
+        assert grid.step_discrepancy == wigner._spectral_values(
+            s4_states[0], chi, qs, QuadratureSpec())[1]
         # certified: the halving check held everywhere, within max(10 abs_tol, ...)
-        assert 0.0 <= grid.step_discrepancy <= 10.0 * TIGHT.abs_tol
+        _, discrepancy = wigner._spectral_values(s4_states[0], chi, qs, TIGHT)
+        assert 0.0 <= discrepancy <= 10.0 * TIGHT.abs_tol
 
     def test_too_coarse_step_raises(self, s4_states, monkeypatch):
         chi, qs = figure1_axes(4.0, 17)
@@ -379,26 +382,28 @@ class TestSpectralEngine:
 class TestGridRoutesMatchPointRoutes:
     @pytest.mark.parametrize("s", [4.0, 30.0])
     def test_quadrature_grid_equals_per_point(self, s):
-        # one batched Gauss-Kronrod per chi row gives each point's solo result
+        # an array of momenta is one batched Gauss-Kronrod call that gives
+        # each momentum's solo result bit for bit, real and imaginary parts
         params = OscillatorParams.from_depth(s, R=1.3)
         chi, qs = figure1_axes(s, 5)
         for n in (0, 3):
-            state = BoundStateLabel(n, params)
-            f = bound_sampler(state)
-            grid = wigner_grid(state, chi, qs, evaluator="quadrature")
-            ref = np.array([[wigner_quadrature_1d(f, f, c, q / params.R, params.R).real
-                             for q in qs] for c in chi])
-            assert np.array_equal(grid.values, ref)
+            f = bound_sampler(BoundStateLabel(n, params))
+            for c in chi:
+                row = wigner_quadrature_1d(f, f, c, qs / params.R, params.R)
+                solo = [wigner_quadrature_1d(f, f, c, q / params.R, params.R) for q in qs]
+                assert all(np.ndim(v) == 0 for v in solo)
+                assert row.shape == qs.shape
+                assert row.tobytes() == np.array(solo).tobytes()
 
     def test_closed_grid_equals_per_point(self, s4_states):
         # pR = 0, inside the even-in-q interpolation strip, and beyond it
         chi = np.array([0.1, 0.4, 1.3])
         qs = np.array([0.0, 0.5 * wigner.Q_EXTRAP, wigner.Q_EXTRAP, 0.4, 3.0])
         for state in s4_states:
-            grid = wigner_grid(state, chi, qs, evaluator="closed_form")
-            ref = np.array([[wigner_pt_closed(state, c, q) for q in qs]
+            grid = wigner_closed_grid(state, chi, qs)
+            ref = np.array([[closed_point(state, c, q) for q in qs]
                             for c in chi])
-            assert np.array_equal(grid.values, ref)
+            assert np.array_equal(grid, ref)
 
 
 @pytest.fixture(scope="module")
@@ -413,44 +418,56 @@ class TestMarginals:
 
     def test_momentum_marginal_gives_position_density(self, marginal_grid):
         state, grid = marginal_grid
-        marg = marginal_momentum_integrated(grid, 1.0)
+        marg = marginal_momentum_integrated(grid)
         target = psi_bound(state, grid.chi_axis) ** 2
         assert np.max(np.abs(marg - target)) < 5e-4
 
     def test_position_marginal_gives_momentum_density(self, marginal_grid):
         state, grid = marginal_grid
-        marg = marginal_position_integrated(grid, 1.0)
+        marg = marginal_position_integrated(grid)
         target = np.array([abs(psi_momentum(state, q)) ** 2 for q in grid.pR_axis])
         assert np.max(np.abs(marg - target)) < 5e-4
         assert marg.min() > -1e-6  # squared modulus
 
     def test_marginals_even_by_construction(self, marginal_grid):
         # quadrant grids reflect evenly, so evenness is structural; check the
-        # defining symmetry on the evaluator instead
+        # defining symmetry on the closed form instead
         state, _ = marginal_grid
-        assert wigner_pt_closed(state, 0.4, 2.0) == wigner_pt_closed(state, -0.4, 2.0)
+        assert closed_point(state, 0.4, 2.0) == closed_point(state, -0.4, 2.0)
 
     def test_total_probability(self, marginal_grid):
         _, grid = marginal_grid
-        assert total_probability(grid, 1.0) == pytest.approx(1.0, abs=5e-4)
+        assert total_probability(grid) == pytest.approx(1.0, abs=5e-4)
+
+    def test_marginals_read_R_from_the_grid(self):
+        R = 1.3
+        state = BoundStateLabel(0, OscillatorParams.from_depth(4.0, R=R))
+        chi, qs = np.linspace(0.0, 5.0, 301), np.linspace(0.0, 10.0 * R, 321)
+        grid = wigner_grid(state, chi, qs)
+        position = psi_bound(state, chi) ** 2
+        momentum = np.array([abs(psi_momentum(state, q / R)) ** 2 for q in qs])
+        assert np.max(np.abs(marginal_momentum_integrated(grid) - position)) < 5e-4
+        assert np.max(np.abs(marginal_position_integrated(grid) - momentum)) < 5e-4
+        assert total_probability(grid) == pytest.approx(1.0, abs=5e-4)
 
     def test_axis_starting_above_zero_raises(self, s4_states):
         # such an axis misses [-a, a]: doubling it would return a wrong marginal
         grid = wigner_grid(s4_states[0], np.linspace(0.0, 2.0, 9), np.linspace(0.5, 6.0, 9))
         with pytest.raises(ValueError, match="pR axis"):
-            marginal_momentum_integrated(grid, 1.0)
+            marginal_momentum_integrated(grid)
         grid = wigner_grid(s4_states[0], np.linspace(0.5, 2.0, 9), np.linspace(0.0, 6.0, 9))
         with pytest.raises(ValueError, match="chi axis"):
-            marginal_position_integrated(grid, 1.0)
+            marginal_position_integrated(grid)
 
     def test_full_plane_grid_not_double_counted(self, marginal_grid):
         state, grid = marginal_grid
-        chi_f, q_f, v_f = reflect_quadrant(grid)
-        full = WignerGrid(chi_f, q_f, v_f, grid.evaluator_tag, grid.state_meta)
-        assert total_probability(full, 1.0) == pytest.approx(
-            total_probability(grid, 1.0), rel=1e-10)
-        marg_full = marginal_momentum_integrated(full, 1.0)
-        marg_quad = marginal_momentum_integrated(grid, 1.0)
+        chi_f, rows = wigner._mirror_index(grid.chi_axis)
+        q_f, cols = wigner._mirror_index(grid.pR_axis)
+        full = WignerGrid(chi_f, q_f, grid.values[np.ix_(rows, cols)], grid.state)
+        assert total_probability(full) == pytest.approx(
+            total_probability(grid), rel=1e-10)
+        marg_full = marginal_momentum_integrated(full)
+        marg_quad = marginal_momentum_integrated(grid)
         assert marg_full[len(grid.chi_axis) - 1:] == pytest.approx(marg_quad, rel=1e-12)
 
 
@@ -485,28 +502,50 @@ class TestContraction:
         assert np.max(np.abs(flat - flat)[mask]) == 0.0
 
 
+def mirrored(axis, values, axis_index):
+    """An axis starting at or above 0 and the values along it, mirrored
+    about 0 by concatenation (the 0 entry kept once)."""
+    drop = 1 if axis[0] == 0.0 else 0
+    return (np.concatenate([-axis[::-1], axis[drop:]]),
+            np.concatenate([np.flip(values, axis_index),
+                            np.take(values, range(drop, values.shape[axis_index]),
+                                    axis_index)], axis_index))
+
+
 class TestReflectQuadrant:
-    def test_shapes_and_symmetry(self, s4_states):
+    """emit_pgm renders a quadrant reflected across both axes: its bytes
+    are those of the plane mirrored value by value, which renders as it
+    stands because both its axes span negative values."""
+
+    @staticmethod
+    def pixels_of_mirrored_plane(tmp_path, grid, mirror_chi=True):
+        chi, values = grid.chi_axis, grid.values
+        if mirror_chi:
+            chi, values = mirrored(chi, values, 0)
+        q, values = mirrored(grid.pR_axis, values, 1)
+        plane = WignerGrid(chi, q, values, grid.state)
+        quadrant = emit_pgm(grid, tmp_path / "quadrant.pgm").read_bytes()
+        assert quadrant == emit_pgm(plane, tmp_path / "plane.pgm").read_bytes()
+        return read_pgm(tmp_path / "quadrant.pgm")
+
+    def test_shapes_and_symmetry(self, s4_states, tmp_path):
         grid = wigner_grid(s4_states[0], np.linspace(0.0, 1.0, 4),
                            np.linspace(0.0, 2.0, 3))
-        chi_f, q_f, v = reflect_quadrant(grid)
-        assert len(chi_f) == 7 and len(q_f) == 5
-        assert v.shape == (7, 5)
-        assert np.array_equal(v, v[::-1, :])
-        assert np.array_equal(v, v[:, ::-1])
+        w, h, _, px = self.pixels_of_mirrored_plane(tmp_path, grid)
+        assert (w, h) == (7, 5)
+        assert np.array_equal(px, px[::-1, :])
+        assert np.array_equal(px, px[:, ::-1])
 
-    def test_axis_spanning_negative_values_stands(self, s4_states):
+    def test_axis_spanning_negative_values_stands(self, s4_states, tmp_path):
         grid = wigner_grid(s4_states[1], np.linspace(-1.0, 2.0, 7),
                            np.linspace(0.0, 2.0, 3))
-        chi_f, q_f, v = reflect_quadrant(grid)
-        assert np.array_equal(chi_f, grid.chi_axis)
-        assert np.array_equal(q_f, [-2.0, -1.0, 0.0, 1.0, 2.0])
-        assert np.array_equal(v[:, 2:], grid.values)
-        assert np.array_equal(v, v[:, ::-1])
+        w, h, _, px = self.pixels_of_mirrored_plane(tmp_path, grid, mirror_chi=False)
+        assert (w, h) == (7, 5)
+        assert np.array_equal(px, px[::-1, :])
 
-    def test_no_duplicate_center_when_axis_off_zero(self, s4_states):
+    def test_no_duplicate_center_when_axis_off_zero(self, s4_states, tmp_path):
         grid = wigner_grid(s4_states[0], np.linspace(0.1, 1.0, 4),
-                           np.linspace(0.5, 2.0, 3), evaluator="closed_form")
-        chi_f, q_f, v = reflect_quadrant(grid)
-        assert len(chi_f) == 8 and len(q_f) == 6
-        assert np.all(np.diff(chi_f) > 0)
+                           np.linspace(0.5, 2.0, 3))
+        w, h, _, px = self.pixels_of_mirrored_plane(tmp_path, grid)
+        assert (w, h) == (8, 6)
+        assert np.array_equal(px, px[::-1, ::-1])
