@@ -81,7 +81,7 @@ def emit_csv(path, column_names, columns, comments=()) -> Path:
     return _write_csv(Path(path), column_names, [[_format_column(c) for c in cols]], comments)
 
 
-def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
+def emit_grid_csv(grid: WignerGrid, path) -> Path:
     """Grid values in row-major chi-outer order with axis columns
     (chi dimensionless, pR dimensionless, W in units of 1/(dchi dp)),
     formatted and written whole chi rows at a time, about
@@ -100,7 +100,7 @@ def emit_grid_csv(grid: WignerGrid, path, comments=()) -> Path:
     state = grid.state
     meta = ["evaluator=spectral",
             f"n={state.n} s={format_value(state.s)} R={format_value(state.params.R)}"]
-    return _write_csv(Path(path), ["chi", "pR", "W"], blocks(), list(comments) + meta)
+    return _write_csv(Path(path), ["chi", "pR", "W"], blocks(), meta)
 
 
 def read_csv(path):

@@ -267,7 +267,9 @@ class ScatteringStateLabel:
 
 
 def psi_scatter(state: ScatteringStateLabel, chi: float) -> complex:
-    """Scattering wavefunction |Gamma(1 - i p)| / (2 pi) * P_sigma^{i p}(tanh chi)."""
+    """Scattering wavefunction |Gamma(1 - i p)| / (2 pi) * P_sigma^{i p}(tanh chi)
+    on the whole line when p > 1e-6 or sigma is whole; otherwise
+    chi < -atanh(0.8) = -1.0986 raises PoleError (``legendre_imag_mu``)."""
     pref = math.sqrt(gamma_abs_squared(1.0 - 1j * state.p)) / (2.0 * math.pi)
     return pref * legendre_imag_mu(state.sigma, state.p, math.tanh(chi))
 

@@ -4,6 +4,10 @@ function of imaginary order.
 
 Everything here is scalar, pure and re-entrant.  Complex arguments are plain
 Python ``complex``; no arbitrary-precision types are involved.
+
+``gauss_2f1`` sums terminating series at any real x and the others on
+0 <= x < 1, where past x = 0.9 c-a-b must be off the integers.  A scattering
+state's P_sigma^{ip} has c-a-b = -ip, so every p > LOG_CASE_EPS is covered.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from .errors import NonconvergenceError, PoleError
 __all__ = [
     "log_gamma",
     "gamma_abs_squared",
-    "digamma",
     "gauss_2f1",
     "hyper_3f2_terminating",
     "gegenbauer",
@@ -45,14 +48,15 @@ _LOG_SQRT_2PI = 0.9189385332046727417803297364
 
 _SERIES_EPS = 1e-17
 _MAX_TERMS = 100_000
-# |c - a - b - round(c - a - b)| below this uses the logarithmic limit form
-# of the x -> 1-x connection formula.
+# |c-a-b - round(c-a-b)| <= this: the logarithmic case, where the 1-x formula is singular
 LOG_CASE_EPS = 1e-6
 
 
-def _is_nonpos_int(z: complex, tol: float = 1e-12) -> bool:
-    z = complex(z)
-    return z.imag == 0.0 and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+def _as_terminating_index(a: complex) -> int | None:
+    """Return m >= 0 when the complex a is the non-positive integer -m, else None."""
+    if a.imag == 0.0 and a.real <= 1e-12 and abs(a.real - round(a.real)) < 1e-12:
+        return int(-round(a.real))
+    return None
 
 
 def log_gamma(z: complex) -> complex:
@@ -63,7 +67,7 @@ def log_gamma(z: complex) -> complex:
     of 2*pi (every consumer here exponentiates or takes the real part).
     """
     z = complex(z)
-    if _is_nonpos_int(z):
+    if _as_terminating_index(z) is not None:
         raise PoleError(f"gamma pole at z={z}")
     if z.real < 0.5:
         # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
@@ -84,40 +88,11 @@ def gamma_abs_squared(z: complex) -> float:
     return math.exp(2.0 * log_gamma(z).real)
 
 
-def digamma(z: complex) -> complex:
-    """Complex digamma via downward reflection, upward recurrence and the
-    Bernoulli asymptotic series."""
-    z = complex(z)
-    if _is_nonpos_int(z):
-        raise PoleError(f"digamma pole at z={z}")
-    if z.real < 0.5:
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    acc = 0j
-    while z.real < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    # asymptotic: log z - 1/(2z) - sum B_{2k} / (2k z^{2k})
-    inv2 = 1.0 / (z * z)
-    series = (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
-    return acc + cmath.log(z) - 0.5 / z - inv2 * series
-
-
 def _pochhammer(a: complex, k: int) -> complex:
     out = 1.0 + 0j
     for j in range(k):
         out *= a + j
     return out
-
-
-def _as_terminating_index(a: complex) -> int | None:
-    """Return m >= 0 when a is the non-positive integer -m, else None."""
-    a = complex(a)
-    if a.imag == 0.0 and a.real <= 1e-12 and abs(a.real - round(a.real)) < 1e-12:
-        return int(-round(a.real))
-    return None
 
 
 def _f21_series(a: complex, b: complex, c: complex, x: float, n_terms: int | None = None):
@@ -140,55 +115,22 @@ def _f21_series(a: complex, b: complex, c: complex, x: float, n_terms: int | Non
 
 
 def _f21_near_one(a: complex, b: complex, c: complex, x: float) -> complex:
-    """Connection formula in powers of 1-x, for arguments close to 1.
-
-    The degenerate case c-a-b within LOG_CASE_EPS of an integer is evaluated
-    by the standard logarithmic limit form.
-    """
+    """Connection formula in powers of 1-x (Abramowitz & Stegun 15.3.6) for
+    x near 1; Gamma(+-(c-a-b)) is a pole within LOG_CASE_EPS of an integer."""
     w = 1.0 - x
     d = c - a - b
-    m = round(d.real)
-    if abs(d - m) > LOG_CASE_EPS:
-        t1 = cmath.exp(log_gamma(c) + log_gamma(d) - log_gamma(c - a) - log_gamma(c - b))
-        t2 = cmath.exp(log_gamma(c) + log_gamma(-d) - log_gamma(a) - log_gamma(b)) * w**d
-        return t1 * _f21_series(a, b, 1.0 - d, w) + t2 * _f21_series(c - a, c - b, 1.0 + d, w)
-    if m < 0:
-        # Euler transformation flips the sign of c-a-b
-        return w**d * _f21_near_one(c - a, c - b, c, x)
-    # c = a + b + m with m >= 0 (DLMF 15.8.10 / 15.8.12 limit form)
-    lw = math.log(w)
-    out = 0j
-    if m > 0:
-        pre = cmath.exp(log_gamma(m) + log_gamma(c) - log_gamma(a + m) - log_gamma(b + m))
-        tot = term = 1.0 + 0j
-        for k in range(1, m):
-            term *= (a + k - 1) * (b + k - 1) / ((1.0 - m + k - 1) * k) * w
-            tot += term
-        out += pre * tot
-    sgn = -((-1.0) ** m)
-    pre2 = sgn * cmath.exp(log_gamma(c) - log_gamma(a) - log_gamma(b)) * w**m
-    tot2 = 0j
-    coef = 1.0 / math.factorial(m)
-    for k in range(_MAX_TERMS):
-        if k > 0:
-            coef *= (a + m + k - 1) * (b + m + k - 1) / (k * (k + m)) * w
-        bracket = lw - digamma(k + 1) - digamma(k + m + 1.0) + digamma(a + k + m) + digamma(b + k + m)
-        term = coef * bracket
-        tot2 += term
-        if k > 5 and abs(term) < _SERIES_EPS * max(abs(tot2), 1e-300):
-            break
-    else:
-        raise NonconvergenceError("logarithmic 1-x series did not converge")
-    return out + pre2 * tot2
+    if abs(d - round(d.real)) <= LOG_CASE_EPS:
+        raise PoleError(f"2F1 connection formula is singular at c-a-b={d}")
+    t1 = cmath.exp(log_gamma(c) + log_gamma(d) - log_gamma(c - a) - log_gamma(c - b))
+    t2 = cmath.exp(log_gamma(c) + log_gamma(-d) - log_gamma(a) - log_gamma(b)) * w**d
+    return t1 * _f21_series(a, b, 1.0 - d, w) + t2 * _f21_series(c - a, c - b, 1.0 + d, w)
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
-    """Gauss hypergeometric function 2F1(a, b; c; x) for real x in [0, 1),
-    or any real x when the series terminates.
-
-    Non-terminating evaluation uses the raw series up to x = 0.9 and the
-    1-x connection formula beyond it.
-    """
+    """Gauss hypergeometric function 2F1(a, b; c; x) for any real x when the
+    series terminates, else for x in [0, 1): the raw series up to x = 0.9,
+    then the 1-x connection formula, which raises PoleError when c-a-b is
+    within LOG_CASE_EPS of an integer."""
     a, b, c = complex(a), complex(b), complex(c)
     na, nb = _as_terminating_index(a), _as_terminating_index(b)
     if na is not None or nb is not None:
@@ -278,6 +220,9 @@ def legendre_imag_mu(sigma: float, p: float, x: float) -> complex:
 
         P_nu^mu(x) = ((1+x)/(1-x))^{mu/2} / Gamma(1-mu) *
                      2F1(-nu, nu+1; 1-mu; (1-x)/2).
+
+    Every |x| < 1 when sigma is a whole number or |p| > LOG_CASE_EPS;
+    otherwise x < -0.8 raises PoleError.
     """
     if not -1.0 < x < 1.0:
         raise ValueError("legendre_imag_mu requires |x| < 1")

@@ -136,7 +136,7 @@ def criterion_marginals(tol_scale: float = 1.0) -> CriterionResult:
     return CriterionResult(
         "marginals", passed,
         f"max |int dp W - |psi|^2| = {worst_x:.2e}, "
-        f"max |int R dchi W - |psit|^2| = {worst_p:.2e}, "
+        f"max |int dchi W - |psit|^2| = {worst_p:.2e}, "
         f"max |total - 1| = {worst_tot:.2e}",
         {"position_marginal_dev": worst_x, "momentum_marginal_dev": worst_p,
          "total_probability_dev": worst_tot})
@@ -387,7 +387,7 @@ def criterion_momentum_calibration(tol_scale: float = 1.0) -> CriterionResult:
         {"worst": worst, "calibration_constants": constants})
 
 
-def criterion_reproducibility(tol_scale: float = 1.0, workdir=None) -> CriterionResult:
+def criterion_reproducibility(tol_scale: float = 1.0) -> CriterionResult:
     """Two figure-1 runs with one configuration produce byte-identical
     artifacts and a manifest whose checksums validate."""
     import tempfile
@@ -395,7 +395,7 @@ def criterion_reproducibility(tol_scale: float = 1.0, workdir=None) -> Criterion
     from .artifacts import validate_manifest
     from .cli import RunConfig, GridSpec, run_figure1
 
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         digests = []
         for sub in ("a", "b"):
             out = Path(tmp) / sub

@@ -82,8 +82,8 @@ class TestCsv:
         state = BoundStateLabel(2, OscillatorParams.from_depth(4.0, R=1.5))
         grid = WignerGrid(np.asarray(chi, dtype=float), np.asarray(pR, dtype=float),
                           np.asarray(values, dtype=float), state)
-        path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["run a", "run b"])
-        expected = (f"# run a\n# run b\n# evaluator=spectral\n# n=2 s={format_value(state.s)} "
+        path = emit_grid_csv(grid, tmp_path / "g.csv")
+        expected = (f"# evaluator=spectral\n# n=2 s={format_value(state.s)} "
                     "R=1.5\nchi,pR,W\n") + "".join(
             f"{format_value(c)},{format_value(p)},{format_value(grid.values[i, j])}\n"
             for i, c in enumerate(grid.chi_axis) for j, p in enumerate(grid.pR_axis))
@@ -103,11 +103,11 @@ class TestCsv:
         chi = [format_value(c) for c in grid.chi_axis for _ in range(nq)]
         q = [format_value(p) for p in grid.pR_axis] * nc
         w = [format_value(v) for v in grid.values.reshape(-1)]
-        lines = ["# note", "# evaluator=spectral", f"# n=3 s={format_value(grid.state.s)} R=1",
+        lines = ["# evaluator=spectral", f"# n=3 s={format_value(grid.state.s)} R=1",
                  "chi,pR,W"]
         lines += map(",".join, zip(chi, q, w))
         lines.append("")
-        path = emit_grid_csv(grid, tmp_path / "g.csv", comments=["note"])
+        path = emit_grid_csv(grid, tmp_path / "g.csv")
         assert path.read_bytes() == "\n".join(lines).encode("utf-8")
 
     def test_grid_csv_rejects_nonfinite_axis(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference_routes import flat_ho_sampler, psi_bound_2f1, psi_momentum_hahn
+from curvedwigner import specfun
 from curvedwigner.errors import DomainError
 from curvedwigner.geometry import shapiro_forward_1d
 from curvedwigner.oscillator import (
@@ -267,16 +268,26 @@ class TestScattering:
         assert cmath.isfinite(a)
         assert abs(a - b) < 1e-5
 
-    def test_residual_in_left_tail(self, s4_params):
-        # chi < -1.47 drives the hypergeometric evaluation through its
-        # connection-formula branch; the wave equation must still hold
-        state = ScatteringStateLabel.from_params(s4_params, p=1.0)
-        E = state.energy(s4_params)
-        res = []
-        for h in (1e-3, 5e-4):
-            vals = tuple(psi_scatter(state, -2.0 + d).real for d in (-h, 0.0, h))
-            res.append(abs(schrodinger_residual(vals, -2.0, h, E, s4_params)))
-        assert 3.0 < res[0] / res[1] < 5.0
+    def test_residual_in_left_tail(self, monkeypatch):
+        # chi < -1.0986 puts the 2F1 argument past 0.9.  At the whole depth
+        # s = 4 the series terminates; at s = 4.3 it does not, and each of the
+        # six evaluations runs through the 1-x connection formula.  The wave
+        # equation must hold on both routes.
+        calls = []
+        near_one = specfun._f21_near_one
+        monkeypatch.setattr(specfun, "_f21_near_one",
+                            lambda *args: calls.append(args) or near_one(*args))
+        for s, expected_calls in ((4.0, 0), (4.3, 6)):
+            calls.clear()
+            params = OscillatorParams.from_depth(s)
+            state = ScatteringStateLabel.from_params(params, p=1.0)
+            E = state.energy(params)
+            res = []
+            for h in (1e-3, 5e-4):
+                vals = tuple(psi_scatter(state, -2.0 + d).real for d in (-h, 0.0, h))
+                res.append(abs(schrodinger_residual(vals, -2.0, h, E, params)))
+            assert len(calls) == expected_calls
+            assert 3.0 < res[0] / res[1] < 5.0
 
     def test_requires_positive_p(self, s4_params):
         with pytest.raises(DomainError):

@@ -16,8 +16,6 @@ import curvedwigner
 from curvedwigner.cli import main
 
 KEPT_UNREACHED = {
-    "curvedwigner.specfun.digamma":
-        "psi_scatter needs it, through the 1-x connection formula, for chi < -1.1",
     "curvedwigner.artifacts.read_csv": "reader of the CSV artifact format",
     "curvedwigner.artifacts.read_pgm": "reader of the PGM artifact format",
 }
