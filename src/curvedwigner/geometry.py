@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OffShellError
-from .quadrature import QuadratureSpec, gauss_kronrod_batch
+from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import FieldSampler
 
 __all__ = [
@@ -342,10 +342,12 @@ def shapiro_forward_1d(f: FieldSampler, p, radius: float,
     The signed wavenumber p may be negative; the transform is unitary on
     (dchi, dp).
 
-    A scalar p gives a complex scalar; an array of momenta gives one value per p
-    from a single batched Gauss-Kronrod call, in which the momenta share the
-    truncation T and each keeps its own initial panel count, so every value
-    equals its solo result bit for bit.
+    A scalar p gives a complex scalar; an array of momenta gives one value
+    per p from a single vector Gauss-Kronrod call: the momenta share the
+    truncation T and one adaptive partition, refined until every momentum
+    meets its own tolerance, so f is sampled once per node for all of them
+    and a value depends on the other momenta of the call, within the
+    tolerances.
     """
     spec = spec or QuadratureSpec()
     pref = math.sqrt(radius / (2.0 * math.pi))
@@ -353,10 +355,10 @@ def shapiro_forward_1d(f: FieldSampler, p, radius: float,
     p = _floats(p)
     q = np.atleast_1d(p) * radius
 
-    def integrand(chi, i):
-        return f(chi) * np.exp(-1j * q[i] * chi)
+    def integrand(chi):
+        return f(chi)[:, None] * np.exp(-1j * np.outer(chi, q))
 
-    n0 = np.maximum(8, (np.abs(q) * T / 3.0).astype(int) + 1)
-    vals, _ = gauss_kronrod_batch(integrand, np.full(len(q), -T), np.full(len(q), T), spec, n0)
+    n0 = max(8, int(np.max(np.abs(q), initial=0.0) * T / 3.0) + 1)
+    vals, _ = gauss_kronrod_vector(integrand, -T, T, spec, n0)
     vals = pref * vals
     return vals[0] if np.ndim(p) == 0 else vals

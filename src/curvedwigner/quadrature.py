@@ -1,12 +1,15 @@
 """Adaptive Gauss-Kronrod panel quadrature for smooth, possibly oscillatory
 complex integrands on a finite interval.
 
-The integrand must accept a 1-D numpy array and return an array of the same
-shape; panels are refined in batches so each refinement level costs a single
-vectorized call.  ``gauss_kronrod_batch`` integrates many integrands in the
-same call, each panel tagged with its integrand; ``adaptive_gauss_kronrod``
-is its batch of one.  Results are deterministic: panel bookkeeping is
-ordered and independent of timing and of the other members of a batch.
+``gauss_kronrod_vector`` integrates a vector of m integrands on one shared
+adaptive partition (the vector-integrand scheme of Berntsen, Espelid & Genz,
+ACM TOMS 17 (1991) 452): the integrand maps a 1-D array of nodes to an
+array of shape (len(x), m), so work common to the components, such as a
+wavefunction sampled at the nodes, is done once per node, and a panel is
+bisected while any component still needs it.  ``adaptive_gauss_kronrod`` is
+the case m = 1.  Panels are refined in batches, so each refinement level
+costs a single vectorized call.  Results are deterministic: panel
+bookkeeping is ordered and independent of timing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import NonconvergenceError
 
-__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_batch"]
+__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_vector"]
 
 # 15-point Kronrod nodes on [-1, 1]; odd-indexed nodes form the embedded
 # 7-point Gauss rule.
@@ -83,83 +86,68 @@ class QuadratureSpec:
 
 def adaptive_gauss_kronrod(f, a, b, spec: QuadratureSpec | None = None,
                            initial_panels=8):
-    """Integrate ``f`` over [a, b]; returns (value, error_estimate).
-
-    Panels whose K15/G7 discrepancy already meets a proportional share of the
-    tolerance are banked; the rest are bisected, all in one batch per level.
+    """Integrate the scalar integrand ``f`` over [a, b]; returns
+    (value, error_estimate).  The case m = 1 of ``gauss_kronrod_vector``.
 
     Raises NonconvergenceError when the panel budget is exhausted before the
     global error estimate falls under max(abs_tol, rel_tol * |result|).
     """
-    vals, errs = gauss_kronrod_batch(lambda x, _: f(x), [a], [b], spec, [initial_panels])
-    return vals[0], float(errs[0])
+    vals, errs = gauss_kronrod_vector(lambda x: np.asarray(f(x))[:, None], a, b, spec,
+                                      initial_panels)
+    return vals.astype(complex)[0], float(errs[0])
 
 
-def gauss_kronrod_batch(f, a, b, spec: QuadratureSpec | None = None, initial_panels=8):
-    """Integrate m integrands at once, the i-th over [a[i], b[i]]; returns
-    arrays (values, error_estimates).
+def gauss_kronrod_vector(f, a, b, spec: QuadratureSpec | None = None, initial_panels=8):
+    """Integrate the m components of a vector integrand over [a, b] on one
+    shared partition; returns arrays (values, error_estimates) of length m.
 
-    ``f(x, i)`` evaluates integrand ``i[j]`` at ``x[j]``.  Every panel is
-    tagged with its integrand, which keeps its own banked sum and error,
-    tolerance, per-panel share of that tolerance and ``max_panels`` budget,
-    so each result equals that integrand's solo result (panel sums run in
-    panel order, as in QUADPACK's bookkeeping, Piessens et al. 1983).
+    ``f(x)`` takes a 1-D array of nodes and returns an array of shape
+    (len(x), m), so quantities common to the components are computed once
+    per node.  The partition starts from ``initial_panels`` equal panels.  A
+    panel is banked when every component's K15/G7 discrepancy meets a
+    proportional share of that component's own tolerance
+    max(abs_tol, rel_tol * |I_i|); the rest are bisected, all in one batch
+    per level, until every component's global error estimate meets its
+    tolerance.  ``max_panels`` bounds the shared panels, so one hard
+    component raises NonconvergenceError for the whole call.  Every
+    component goes through the same arithmetic on the same nodes, so its
+    value does not depend on its position among the others.
     """
     spec = spec or QuadratureSpec()
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if np.any(b < a):
+    a, b = float(a), float(b)
+    if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-    m = len(a)
-    n0 = np.maximum(1, np.broadcast_to(np.asarray(initial_panels, dtype=int), (m,)))
-    owner = np.repeat(np.arange(m), n0)
-    # the edges np.linspace(a, b, n0 + 1) gives, for every integrand at once
-    j = np.arange(len(owner)) - np.repeat(np.cumsum(n0) - n0, n0)
-    step, start = ((b - a) / n0)[owner], a[owner]
-    lo = j * step + start
-    hi = np.where(j + 1 == n0[owner], b[owner], (j + 1) * step + start)
-    banked = np.zeros(m, dtype=complex)
-    banked_err = np.zeros(m)
-    n_panels = n0
-    value = np.zeros(m, dtype=complex)
-    error = np.zeros(m)
-
-    def per_owner(w, sel=slice(None)):
-        return np.bincount(owner[sel], weights=w[sel], minlength=m)
-
+    n_panels = max(1, int(initial_panels))
+    edges = np.linspace(a, b, n_panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    banked, banked_err = 0.0, 0.0
     while True:
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
         xs = mid[:, None] + hw[:, None] * _XK[None, :]
-        fv = np.asarray(f(xs.ravel(), np.repeat(owner, len(_XK)))).reshape(xs.shape)
-        k15 = (fv * _WK[None, :]).sum(axis=1) * hw
-        g7 = (fv[:, 1::2] * _WG[None, :]).sum(axis=1) * hw
+        fv = np.asarray(f(xs.ravel())).reshape(len(lo), len(_XK), -1)
+        k15 = (fv * _WK[None, :, None]).sum(axis=1) * hw[:, None]
+        g7 = (fv[:, 1::2] * _WG[None, :, None]).sum(axis=1) * hw[:, None]
         err = np.abs(k15 - g7)
-        count = np.bincount(owner, minlength=m)
-        estimate = banked + (per_owner(k15.real) + 1j * per_owner(k15.imag))
-        total_err = banked_err + per_owner(err)
+        estimate = banked + k15.sum(axis=0)
+        total_err = banked_err + err.sum(axis=0)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
-        converged = (count > 0) & (total_err <= tol)
-        value[converged], error[converged] = estimate[converged], total_err[converged]
-        open_ = ~converged[owner]
-        done = open_ & (err <= (0.25 * tol / np.maximum(count, 1))[owner])
-        keep = open_ & ~done
-        banked += per_owner(k15.real, done) + 1j * per_owner(k15.imag, done)
-        banked_err += per_owner(err, done)
-        split = np.bincount(owner[keep], minlength=m)
-        exhausted = (count > 0) & ~converged & (split == 0)
-        value[exhausted], error[exhausted] = banked[exhausted], banked_err[exhausted]
-        if not keep.any():
-            return value, error
-        over = np.flatnonzero((split > 0) & (n_panels + split > spec.max_panels))
-        if over.size:
-            i = over[0]
+        if np.all(total_err <= tol):
+            return estimate, total_err
+        done = np.all(err <= 0.25 * tol / len(lo), axis=1)
+        if done.all():  # every panel met its share, the sum of shares did not
+            return estimate, total_err
+        banked = banked + k15[done].sum(axis=0)
+        banked_err = banked_err + err[done].sum(axis=0)
+        keep = ~done
+        split = int(keep.sum())
+        if n_panels + split > spec.max_panels:
+            worst = int(np.argmax(total_err / tol))
             raise NonconvergenceError(
                 f"quadrature needed more than {spec.max_panels} panels "
-                f"(error estimate {banked_err[i] + err[keep & (owner == i)].sum():.3e})"
+                f"(error estimate {total_err[worst]:.3e} of component {worst})"
             )
-        lo, hi, mid, owner = lo[keep], hi[keep], mid[keep], owner[keep]
+        lo, hi, mid = lo[keep], hi[keep], mid[keep]
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
-        owner = np.concatenate([owner, owner])
         n_panels += split

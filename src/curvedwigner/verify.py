@@ -97,7 +97,7 @@ def criterion_oracle_equivalence(tol_scale: float = 1.0) -> CriterionResult:
     for state in states:
         f = bound_sampler(state)
         closed = wigner_closed_grid(state, chi, qs)
-        # one batched quadrature per chi row; a real diagonal pair has imaginary part 0
+        # one vector quadrature per chi row; a real diagonal pair has imaginary part 0
         quad = np.array([wigner_quadrature_1d(f, f, c, qs / R, R, spec).real for c in chi])
         excess = np.abs(closed - quad) / np.maximum(abs_tol, rel_tol * np.abs(quad))
         worst = max(worst, float(excess.max()))
@@ -105,7 +105,7 @@ def criterion_oracle_equivalence(tol_scale: float = 1.0) -> CriterionResult:
     passed = worst <= 1.0 and elapsed < 60.0
     return CriterionResult(
         "oracle_equivalence", passed,
-        f"worst |closed-quad| = {worst:.3f} of tolerance, {elapsed:.1f}s",
+        f"worst |closed-quad| = {worst:.3f} of tolerance",
         {"worst_fraction_of_tol": worst, "elapsed_s": elapsed})
 
 

@@ -24,10 +24,11 @@ and two independent oracles.
   half is folded onto tau in [0, T]: with c(tau) the integrand's profile
   product, c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two
   profile arguments, so one integrand over the half line gives the whole
-  integral for diagonal and cross pairs alike, with about half the nodes.
-  An array of momenta at one chi forms one batch whose panels are tagged
-  with their momentum, each keeping its own tolerances and panel budget, so
-  every value equals its solo result.
+  integral for diagonal and cross pairs alike, with about half the nodes;
+  for a real diagonal pair it is the real 2 c(tau) cos(q tau).  An array of
+  momenta at one chi is one vector integrand on a single adaptive
+  partition, refined until every momentum meets its own tolerance, so the
+  profile is sampled once per node for all momenta.
 
 * ``wigner_closed_grid`` evaluates the bound-state diagonal W(psi_n | chi, p)
   in closed form: a double sum over (k, k') of gamma-function coefficients
@@ -52,8 +53,8 @@ verification criterion 1 checks against quadrature on its validated box
 grid comes from it.  Below CHI_MIN its 2F1 series in e^{-4 chi} -> 1 does
 not converge, so it raises DomainError there; a value above the Wigner
 bound |W| <= R / pi (lost to cancellation at large depth) raises
-PrecisionLossError.  A grid runs one 2F1 series per (k, k') over the
-whole flattened chi x q block.  Near q = 0 the formula
+PrecisionLossError.  A grid runs one 2F1 series over all (k, k') pairs
+and the whole flattened chi x q block at once.  Near q = 0 the formula
 degenerates (paired gamma/hypergeometric poles); values there are rebuilt
 by even-in-q Lagrange interpolation from four columns just outside it.
 
@@ -75,7 +76,7 @@ import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
 from .oscillator import BoundStateLabel, bound_sampler
-from .quadrature import QuadratureSpec, gauss_kronrod_batch
+from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import _pochhammer, laguerre, log_gamma
 
@@ -177,9 +178,11 @@ def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
     real profile.
 
     A scalar p gives a complex scalar; an array of momenta gives one value
-    per p from a single batched Gauss-Kronrod call, in which the momenta
-    share the truncation T and each keeps its own initial panel count and
-    tolerances, so every value equals its solo result bit for bit.
+    per p from a single vector Gauss-Kronrod call: the momenta share the
+    truncation T and one adaptive partition, refined until every momentum
+    meets its own tolerance, so the profiles are sampled once per node for
+    all of them.  A value therefore depends on the other momenta of the
+    call, within the tolerances.
 
     With c(tau) = conj f(chi - tau/2) g(chi + tau/2) the integral over
     [-T, T] is folded onto [0, T]:
@@ -188,28 +191,31 @@ def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
                                                    + c(-tau) e^{+iq tau}],
 
     c(-tau) = conj f(chi + tau/2) g(chi - tau/2), so both terms take the
-    same two profile arguments (two profile calls per node when g is f) and
-    e^{+iq tau} is the conjugate of e^{-iq tau}.  For a real diagonal pair
-    the two terms' imaginary parts cancel bit for bit.  The tolerances apply
-    to the full integral; ``max(4, |q| T / 6 + 1)`` initial panels on
-    [0, T] are as wide as ``max(8, |q| T / 3 + 1)`` were on [-T, T].
+    same two profile arguments and e^{+iq tau} is the conjugate of
+    e^{-iq tau}.  When g is f and the profile is real, c(-tau) = c(tau) and
+    the folded integrand is the real 2 c(tau) cos(q tau), two profile calls
+    per node.  The tolerances apply to the full integral; the partition
+    starts from ``max(4, max|q| T / 6 + 1)`` panels on [0, T], as wide as
+    ``max(8, |q| T / 3 + 1)`` were on [-T, T] for the fastest momentum.
     """
     spec = spec or QuadratureSpec()
     q = np.atleast_1d(np.asarray(p, dtype=float)) * R
     T = _pair_truncation(f, g, chi, R, spec)
 
-    def integrand(tau, i):
+    def integrand(tau):
         half = tau / 2.0
         f_minus, f_plus = f(chi - half), f(chi + half)
+        if g is f and not np.iscomplexobj(f_minus):
+            return (2.0 * f_minus * f_plus)[:, None] * np.cos(np.outer(tau, q))
         g_minus, g_plus = (f_minus, f_plus) if g is f else (g(chi - half), g(chi + half))
         if np.iscomplexobj(f_minus):  # np.conj of a real array is only a copy
             f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
-        phase = np.exp(-1j * q[i] * tau)
-        return f_minus * g_plus * phase + f_plus * g_minus * np.conj(phase)
+        phase = np.exp(-1j * np.outer(tau, q))
+        return (f_minus * g_plus)[:, None] * phase + (f_plus * g_minus)[:, None] * np.conj(phase)
 
-    n0 = np.maximum(4, (np.abs(q) * T / 6.0).astype(int) + 1)
-    vals, _ = gauss_kronrod_batch(integrand, np.zeros(len(q)), np.full(len(q), T), spec, n0)
-    vals = R / (2.0 * math.pi) * vals
+    n0 = max(4, int(np.max(np.abs(q), initial=0.0) * T / 6.0) + 1)
+    vals, _ = gauss_kronrod_vector(integrand, 0.0, T, spec, n0)
+    vals = R / (2.0 * math.pi) * vals.astype(complex)
     return vals[0] if np.ndim(p) == 0 else vals
 
 
@@ -217,9 +223,10 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     """Closed-form W over the grid |chi_axis| x |pR_axis| (W is even in
     both); DomainError below CHI_MIN.
 
-    For each (k, k') one 2F1 series runs over the flattened chi x q block;
-    elements converge at very different rates (the series slows as
-    exp(-4 chi) approaches 1), so converged ones are retired as the
+    One 2F1 series runs over the (k, k') pairs stacked on the flattened
+    chi x q block, and each log-gamma is evaluated once per distinct
+    argument; elements converge at very different rates (the series slows
+    as exp(-4 chi) approaches 1), so converged ones are retired as the
     iteration proceeds.  Direct evaluation degrades like eps / q^2 as the
     paired gamma / hypergeometric poles at q = 0 are approached, so below
     Q_EXTRAP the even analytic function W(q) is reconstructed by Lagrange
@@ -245,42 +252,48 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     cols = np.concatenate([qs[~near], nodes])
     lgB2 = (math.log(sig) + math.lgamma(2.0 * s - n + 1.0)
             - math.log(4.0) - math.lgamma(n + 1) - 2.0 * math.lgamma(sig + 1.0))
-    gamma_coef = [
+    gamma_coef = np.array([
         (_pochhammer(-n, k) * _pochhammer(2.0 * s - n + 1.0, k)
          / (_pochhammer(sig + 1.0, k) * math.factorial(k))).real
         for k in range(n + 1)
-    ]
+    ])
     c_flat, q_flat = np.repeat(chi, len(cols)), np.tile(cols, len(chi))
-    x = np.exp(-4.0 * c_flat)
-    total = np.zeros(len(x), dtype=complex)
+    # every (k, k') pair's block stacked, pair-major, so one series loop runs them all
+    k, kp = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    # log Gamma(k' - k + iq) and log Gamma(sigma + k - iq), once per distinct argument
+    lg_diff = np.array([[log_gamma(d + 1j * q) for q in cols] for d in range(-n, n + 1)])
+    lg_k = np.array([[log_gamma(sig + j - 1j * q) for q in cols] for j in range(n + 1)])
+    lg = (lgB2 + lg_diff[kp - k + n] + lg_k[k]
+          - np.array([math.lgamma(sig + j) for j in kp])[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n + 1):
-            for kp in range(n + 1):
-                lg = np.array([lgB2 + log_gamma(kp - k + 1j * q) + log_gamma(sig + k - 1j * q)
-                               - math.lgamma(sig + kp) for q in cols])
-                pref = gamma_coef[k] * gamma_coef[kp] * np.exp(
-                    np.tile(lg, len(chi)) - 2.0 * c_flat * (sig + 2.0 * k)
-                    + 2.0j * q_flat * c_flat)
-                a, b, c = sig + k, sig + k - 1j * q_flat, 1.0 + k - kp - 1j * q_flat
-                F = np.empty(len(x), dtype=complex)
-                idx, xa = np.arange(len(x)), x
-                term_a = np.ones(len(x), dtype=complex)
-                tot_a = np.ones(len(x), dtype=complex)
-                j = 0
-                while idx.size:
-                    term_a = term_a * ((a + j) * (b + j) / ((c + j) * (j + 1))) * xa
-                    tot_a += term_a
-                    j += 1
-                    bad = ~np.isfinite(tot_a)  # overflow: retired, reported below
-                    done = (np.abs(term_a) <= 1e-17 * np.abs(tot_a)) | bad if j > 8 else bad
-                    if done.any():
-                        F[idx[done]] = tot_a[done]
-                        keep = ~done
-                        idx, xa, b, c = idx[keep], xa[keep], b[keep], c[keep]
-                        term_a, tot_a = term_a[keep], tot_a[keep]
-                    if idx.size and j > _F21_MAX_TERMS:
-                        raise NonconvergenceError("closed-form hypergeometric series stalled")
-                total += pref * F
+        pref = (gamma_coef[k] * gamma_coef[kp])[:, None] * np.exp(
+            np.tile(lg, len(chi)) - (2.0 * c_flat) * (sig + 2.0 * k)[:, None]
+            + 2.0j * q_flat * c_flat)
+        a = np.repeat(sig + k, len(c_flat))
+        b = ((sig + k)[:, None] - 1j * q_flat).ravel()
+        c = ((1.0 + k - kp)[:, None] - 1j * q_flat).ravel()
+        xa = np.tile(np.exp(-4.0 * c_flat), len(k))
+        F = np.empty(len(xa), dtype=complex)
+        idx = np.arange(len(xa))
+        term_a = np.ones(len(xa), dtype=complex)
+        tot_a = np.ones(len(xa), dtype=complex)
+        j = 0
+        while idx.size:
+            term_a = term_a * ((a + j) * (b + j) / ((c + j) * (j + 1))) * xa
+            tot_a += term_a
+            j += 1
+            bad = ~np.isfinite(tot_a)  # overflow: retired, reported below
+            done = (np.abs(term_a) <= 1e-17 * np.abs(tot_a)) | bad if j > 8 else bad
+            if done.any():
+                F[idx[done]] = tot_a[done]
+                keep = ~done
+                idx, xa, a, b, c = idx[keep], xa[keep], a[keep], b[keep], c[keep]
+                term_a, tot_a = term_a[keep], tot_a[keep]
+            if idx.size and j > _F21_MAX_TERMS:
+                raise NonconvergenceError("closed-form hypergeometric series stalled")
+        total = np.zeros(len(c_flat), dtype=complex)
+        for term in pref * F.reshape(pref.shape):  # pairs summed in (k, k') order
+            total += term
     block = (4.0 * R / math.pi * total.real).reshape(len(chi), len(cols))
     if not np.isfinite(block).all():
         raise PrecisionLossError(f"closed form overflows double precision at s={s:g}")

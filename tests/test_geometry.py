@@ -455,15 +455,25 @@ class TestShapiroTransform1D:
         assert abs(val.imag) < 1e-13
         assert expected == pytest.approx(0.5563, abs=5e-5)
 
-    def test_batch_equals_solo_calls(self, s4_params):
+    def test_batch_matches_solo_calls(self, s4_params):
+        # the momenta of an array share one partition: a length-1 array is the
+        # scalar call, reversed momenta give reversed values, and each value
+        # lies within both calls' tolerances of its solo value
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
         sampler = bound_sampler(BoundStateLabel(1, s4_params))
         ps = np.array([-3.7, -0.4, 0.0, 0.25, 2.0, 6.5])
-        batch = shapiro_forward_1d(sampler, ps, 1.3, spec)
+        R = 1.3
+        pref = math.sqrt(R / (2.0 * math.pi))
+        batch = shapiro_forward_1d(sampler, ps, R, spec)
         assert batch.shape == ps.shape
+        reverse = shapiro_forward_1d(sampler, ps[::-1], R, spec)
+        assert reverse[::-1].tobytes() == batch.tobytes()
         for p, val in zip(ps, batch):
-            solo = shapiro_forward_1d(sampler, float(p), 1.3, spec)
-            assert isinstance(solo, complex) and solo == val
+            solo = shapiro_forward_1d(sampler, float(p), R, spec)
+            assert isinstance(solo, complex)
+            assert shapiro_forward_1d(sampler, np.array([p]), R, spec)[0] == solo
+            tol = sum(max(pref * spec.abs_tol, spec.rel_tol * abs(v)) for v in (val, solo))
+            assert abs(val - solo) <= tol
 
     def test_parseval_r_one(self):
         f = gaussian_sampler(width=0.8, center=0.4)

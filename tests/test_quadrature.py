@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from curvedwigner.errors import NonconvergenceError
-from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod, gauss_kronrod_batch
+from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod, gauss_kronrod_vector
 
 
 def test_gaussian_integral():
@@ -56,45 +56,57 @@ def test_spec_validation():
 
 
 class TestBatch:
-    # wavenumbers and scales chosen so the integrands need different
-    # refinement depths and sit at very different magnitudes
+    # one vector integrand whose components need different refinement depths
+    # and sit at very different magnitudes:
+    # SCALE (exp(-x^2) cos(K x) + i cos(K x)) over [-8, 8]
     K = np.array([0.5, 3.0, 20.0, 60.0, 1.0])
     SCALE = np.array([1.0, 1e-6, 1e3, 1.0, 1e-12])
-    A = np.array([-8.0, -8.0, -6.0, -8.0, 0.0])
-    B = np.array([8.0, 7.0, 8.0, 8.0, 2.0])
-    N0 = np.array([8, 8, 3, 20, 1])
+    SPEC = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-10)
 
-    def f(self, x, i):
-        return self.SCALE[i] * (np.exp(-x * x) * np.cos(self.K[i] * x)
-                                + 1j * np.sin(self.K[i] * x) / (1.0 + x * x))
+    def f(self, x, cols=slice(None)):
+        kx = np.outer(x, self.K[cols])
+        return self.SCALE[cols] * (np.exp(-x * x)[:, None] * np.cos(kx) + 1j * np.cos(kx))
 
-    def test_each_result_equals_its_solo_result(self):
-        vals, errs = gauss_kronrod_batch(self.f, self.A, self.B, None, self.N0)
-        depths = set()
+    def exact(self, cols=slice(None)):
+        k = self.K[cols]
+        # the Gaussian's tails beyond |x| = 8 are below e^-64
+        return self.SCALE[cols] * (math.sqrt(math.pi) * np.exp(-k * k / 4.0)
+                                   + 2j * np.sin(8.0 * k) / k)
+
+    def tol(self, values):
+        return np.maximum(self.SPEC.abs_tol, self.SPEC.rel_tol * np.abs(values))
+
+    def test_each_component_meets_its_own_tolerance(self):
+        vals, errs = gauss_kronrod_vector(self.f, -8.0, 8.0, self.SPEC, 8)
+        assert vals.shape == errs.shape == self.K.shape
+        assert np.all(errs <= self.tol(vals))
+        assert np.all(np.abs(vals - self.exact()) <= self.tol(self.exact()))
+
+    def test_reversed_components_give_reversed_values(self):
+        vals, errs = gauss_kronrod_vector(self.f, -8.0, 8.0, self.SPEC, 8)
+        rev, rev_errs = gauss_kronrod_vector(lambda x: self.f(x, slice(None, None, -1)),
+                                             -8.0, 8.0, self.SPEC, 8)
+        assert rev[::-1].tobytes() == vals.tobytes()  # bit for bit
+        assert rev_errs[::-1].tobytes() == errs.tobytes()
+
+    def test_components_match_solo_calls(self):
+        vals, _ = gauss_kronrod_vector(self.f, -8.0, 8.0, self.SPEC, 8)
         for i in range(len(self.K)):
-            calls = []
+            solo, _ = adaptive_gauss_kronrod(lambda x, i=i: self.f(x, i), -8.0, 8.0, self.SPEC, 8)
+            assert abs(vals[i] - solo) <= self.tol(vals[i]) + self.tol(solo)
 
-            def solo(x, i=i):
-                calls.append(x.size)
-                return self.f(x, np.full(x.shape, i))
-
-            val, err = adaptive_gauss_kronrod(solo, self.A[i], self.B[i], None, self.N0[i])
-            depths.add(len(calls))
-            assert val == vals[i] and err == errs[i]  # bit-identical
-        assert len(depths) > 2
+    def test_scalar_call_is_the_one_component_case(self):
+        val, err = adaptive_gauss_kronrod(lambda x: self.f(x, 2), -8.0, 8.0, self.SPEC, 8)
+        vals, errs = gauss_kronrod_vector(lambda x: self.f(x, [2]), -8.0, 8.0, self.SPEC, 8)
+        assert val == vals[0] and err == errs[0]  # bit for bit
 
     def test_one_exhausted_budget_raises(self):
         spec = QuadratureSpec(max_panels=256)
-        # the k = 60 integrand alone needs more than 256 panels
+        # the k = 60 component alone needs more than 256 shared panels
         rest = [0, 1, 2, 4]
-
-        def f_rest(x, i):
-            return self.f(x, np.asarray(rest)[i])
-
-        vals, _ = gauss_kronrod_batch(f_rest, self.A[rest], self.B[rest], spec, self.N0[rest])
+        vals, _ = gauss_kronrod_vector(lambda x: self.f(x, rest), -8.0, 8.0, spec, 8)
         assert np.all(np.isfinite(vals))
         with pytest.raises(NonconvergenceError):
-            gauss_kronrod_batch(self.f, self.A, self.B, spec, self.N0)
+            gauss_kronrod_vector(self.f, -8.0, 8.0, spec, 8)
         with pytest.raises(NonconvergenceError):
-            adaptive_gauss_kronrod(lambda x: self.f(x, np.full(x.shape, 3)),
-                                   self.A[3], self.B[3], spec, self.N0[3])
+            adaptive_gauss_kronrod(lambda x: self.f(x, 3), -8.0, 8.0, spec, 8)

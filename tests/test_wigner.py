@@ -20,6 +20,7 @@ from curvedwigner.oscillator import (
     psi_momentum,
 )
 from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
+from curvedwigner.sampling import FieldSampler
 from curvedwigner.wigner import (
     WignerGrid,
     contraction_report,
@@ -112,6 +113,23 @@ class TestQuadratureRoute:
                 assert not row.imag.any()
             for c, q in ((-0.4, 0.9), (0.0, 0.0), (0.8, 3.1)):
                 assert wigner_quadrature_1d(f, f, c, q, params.R).imag == 0.0
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_real_diagonal_branch_equals_general_branch(self, s):
+        # g is f takes the real 2 c(tau) cos(q tau) branch; an equal but
+        # distinct sampler takes the complex branch of cross pairs
+        params = OscillatorParams.from_depth(s, R=1.3)
+        R = params.R
+        chi, qs = figure1_axes(s, 7)
+        for n in (0, 3):
+            f = bound_sampler(BoundStateLabel(n, params))
+            g = FieldSampler(func=f.func, envelope=f.envelope)
+            assert g is not f
+            for c in chi:
+                fast = wigner_quadrature_1d(f, f, c, qs / R, R)
+                general = wigner_quadrature_1d(f, g, c, qs / R, R)
+                assert np.allclose(fast.real, general.real, rtol=1e-14, atol=1e-16)
+                assert np.all(np.abs(general.imag) <= 1e-16)
 
 
 def _pair_T(f, g, chi, R=1.0, spec=QuadratureSpec()):
@@ -381,19 +399,27 @@ class TestSpectralEngine:
 
 class TestGridRoutesMatchPointRoutes:
     @pytest.mark.parametrize("s", [4.0, 30.0])
-    def test_quadrature_grid_equals_per_point(self, s):
-        # an array of momenta is one batched Gauss-Kronrod call that gives
-        # each momentum's solo result bit for bit, real and imaginary parts
+    def test_quadrature_row_matches_per_point(self, s):
+        # an array of momenta shares one Gauss-Kronrod partition: a length-1
+        # array is the scalar call, reversed momenta give reversed values, and
+        # each value lies within both calls' tolerances of its solo value
         params = OscillatorParams.from_depth(s, R=1.3)
+        R, spec = params.R, QuadratureSpec()
         chi, qs = figure1_axes(s, 5)
         for n in (0, 3):
             f = bound_sampler(BoundStateLabel(n, params))
             for c in chi:
-                row = wigner_quadrature_1d(f, f, c, qs / params.R, params.R)
-                solo = [wigner_quadrature_1d(f, f, c, q / params.R, params.R) for q in qs]
-                assert all(np.ndim(v) == 0 for v in solo)
+                row = wigner_quadrature_1d(f, f, c, qs / R, R)
                 assert row.shape == qs.shape
-                assert row.tobytes() == np.array(solo).tobytes()
+                reverse = wigner_quadrature_1d(f, f, c, qs[::-1] / R, R)
+                assert reverse[::-1].tobytes() == row.tobytes()
+                for q, val in zip(qs, row):
+                    solo = wigner_quadrature_1d(f, f, c, q / R, R)
+                    assert np.ndim(solo) == 0
+                    assert wigner_quadrature_1d(f, f, c, np.array([q / R]), R)[0] == solo
+                    tol = sum(max(R / (2.0 * math.pi) * spec.abs_tol, spec.rel_tol * abs(v))
+                              for v in (val, solo))
+                    assert abs(val - solo) <= tol, (c, q, abs(val - solo), tol)
 
     def test_closed_grid_equals_per_point(self, s4_states):
         # pR = 0, inside the even-in-q interpolation strip, and beyond it
