@@ -53,9 +53,9 @@ from .oscillator import (
     psi_scatter,
 )
 from .wigner import (
-    ContractionReport,
     WignerGrid,
     contraction_report,
+    exact_marginals,
     flat_ho_wigner,
     marginal_momentum_integrated,
     marginal_position_integrated,

@@ -4,10 +4,14 @@ Subcommands: eigen, wavefun, wigner, figure1, verify.  COMMANDS lists the
 RunConfig fields each one reads; a command takes the flags of those fields
 (FLAGS) and --config, a JSON file whose keys may name only those fields.
 Flags override the file, and the manifest echoes exactly those fields but
-out_dir, so it does not depend on where a run writes.  Every Wigner grid
-the CLI writes comes from the certified spectral engine.
-Exit codes: 0 success, 2 configuration error, 3 numeric nonconvergence,
-4 I/O error.
+out_dir, so it does not depend on where a run writes.
+
+wigner (raw axes per mode) and figure1 (scaled axes per (depth, mode)) only
+describe their panels; ``_write_panels`` writes each one: the certified
+engine's grid, its exact marginals (``wigner.exact_marginals``), its CSV
+and PGM.  Every state is checked before anything is written.
+Exit codes: 0 success, 2 configuration error (a negative --s or --omega
+among them), 3 numeric nonconvergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .oscillator import (
     psi_bound,
     psi_momentum,
 )
-from .wigner import WignerGrid, wigner_grid
+from .wigner import exact_marginals, wigner_grid
 from .artifacts import emit_csv, emit_grid_csv, emit_pgm, write_manifest
 
 __all__ = ["GridSpec", "RunConfig", "main",
@@ -115,6 +119,8 @@ class RunConfig:
             raise ConfigError("give either --omega or --s, not both")
         if self.mu <= 0 or self.radius <= 0:
             raise ConfigError("mu and R must be positive")
+        if any(v is not None and v < 0 for v in (self.omega, self.s)):
+            raise ConfigError("omega and s must be non-negative")
         if self.tol <= 0:
             raise ConfigError("tolerance scale must be positive")
         if not self.n_list or any(not (0 <= n < math.inf) or n != int(n) for n in self.n_list):
@@ -222,94 +228,72 @@ def run_eigen(config: RunConfig, echo=print) -> list[tuple[int, float]]:
     return rows
 
 
-def _wavefun_files(config: RunConfig, out: Path) -> list[tuple[Path, str]]:
+def run_wavefun(config: RunConfig) -> Path:
+    """Position and momentum wavefunction tables for each requested mode."""
     params = config.params()
     grid = config.grid or GridSpec(0.0, 5.0, 256, 0.0, 8.0, 256)
-    chi = grid.chi_axis()
-    qs = grid.p_axis()
+    chi, qs = grid.chi_axis(), grid.p_axis()
+    states = [_checked_state(n, params) for n in config.n_list]
+    out = _out_dir(config)
     files = []
-    for n in config.n_list:
-        state = _checked_state(n, params)
-        psi = psi_bound(state, chi)
-        f1 = emit_csv(out / f"wavefun_n{n}.csv", ["chi", "psi"], [chi, psi],
-                      comments=[f"n={n} s={params.s!r} R={params.R!r}"])
+    for state in states:
+        n, label = state.n, [f"n={state.n} s={params.s!r} R={params.R!r}"]
+        f1 = emit_csv(out / f"wavefun_n{n}.csv", ["chi", "psi"], [chi, psi_bound(state, chi)],
+                      comments=label)
         psit = [psi_momentum(state, q / params.R) for q in qs]
         f2 = emit_csv(out / f"wavefun_momentum_n{n}.csv",
                       ["pR", "re_psit", "im_psit", "abs2_psit"],
                       [qs, [z.real for z in psit], [z.imag for z in psit],
-                       [abs(z) ** 2 for z in psit]],
-                      comments=[f"n={n} s={params.s!r} R={params.R!r}"])
+                       [abs(z) ** 2 for z in psit]], comments=label)
         files += [(f1, "wavefun_csv"), (f2, "wavefun_momentum_csv")]
-    return files
-
-
-def run_wavefun(config: RunConfig) -> Path:
-    out = _out_dir(config)
-    files = _wavefun_files(config, out)
     return write_manifest(out, files, _config_echo(config), __version__)
 
 
-def _emit_panel(grid: WignerGrid, out: Path, stem: str, formats) -> list[tuple[Path, str]]:
-    """The grid's two marginal CSVs, then its CSV and PGM as ``formats`` asks.
-
-    The marginals are |psi(chi)|^2 and |psi~(p)|^2 at the grid's own axis
-    points, the exact marginals of the sum the engine evaluates, not an
-    integral over the display window.  The engine's
-    W_h(chi, q) = (R h / 2 pi) sum_k w_k c(chi, tau_k) cos(tau_k q) has
-    period 2 pi / h in q; integrated over one period and divided by R, every
-    k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left, with
-    no truncation and no step.  integral dchi W = |psi~(p)|^2 is the
-    paper's identity, which verification criterion 2 checks for the engine
-    on a grid covering the support, and criterion 9 checks the 3F2 form of
-    psi~ against the numerical transform.
-    """
-    state = grid.state
-    R = state.params.R
-    mx = psi_bound(state, grid.chi_axis) ** 2
-    mp = [abs(psi_momentum(state, q / R)) ** 2 for q in grid.pR_axis]
-    files = [(emit_csv(out / f"{stem}_marginal_position.csv", ["chi", "prob_density"],
-                       [grid.chi_axis, mx]), "marginal_csv"),
-             (emit_csv(out / f"{stem}_marginal_momentum.csv", ["pR", "prob_density"],
-                       [grid.pR_axis, mp]), "marginal_csv")]
-    if "csv" in formats:
-        files.append((emit_grid_csv(grid, out / f"{stem}.csv"), "wigner_csv"))
-    if "pgm" in formats:
-        files.append((emit_pgm(grid, out / f"{stem}.pgm"), "wigner_pgm"))
-    return files
+def _write_panels(config: RunConfig, panels) -> Path:
+    """Per (state, chi_axis, pR_axis, stem) of ``panels``: the engine grid's
+    two exact marginal CSVs, then its CSV and PGM as ``config.formats``
+    asks, one grid alive at a time; then the run's manifest."""
+    out = _out_dir(config)
+    files = []
+    for state, chi_axis, pR_axis, stem in panels:
+        grid = wigner_grid(state, chi_axis, pR_axis)
+        position, momentum = exact_marginals(state, grid.chi_axis, grid.pR_axis)
+        files += [(emit_csv(out / f"{stem}_marginal_position.csv", ["chi", "prob_density"],
+                            [grid.chi_axis, position]), "marginal_csv"),
+                  (emit_csv(out / f"{stem}_marginal_momentum.csv", ["pR", "prob_density"],
+                            [grid.pR_axis, momentum]), "marginal_csv")]
+        if "csv" in config.formats:
+            files.append((emit_grid_csv(grid, out / f"{stem}.csv"), "wigner_csv"))
+        if "pgm" in config.formats:
+            files.append((emit_pgm(grid, out / f"{stem}.pgm"), "wigner_pgm"))
+        del grid  # one grid alive at a time
+    return write_manifest(out, files, _config_echo(config), __version__)
 
 
 def run_wigner(config: RunConfig) -> Path:
     """Wigner grids on a raw (chi, pR) grid for each requested mode."""
     params = config.params()
-    out = _out_dir(config)
-    grid_spec = config.grid or GridSpec(0.0, 3.0, 128, 0.0, 8.0, 128)
-    files = []
-    for n in config.n_list:
-        grid = wigner_grid(_checked_state(n, params), grid_spec.chi_axis(), grid_spec.p_axis())
-        files += _emit_panel(grid, out, f"wigner_n{n}", config.formats)
-        del grid  # one grid alive at a time
-    return write_manifest(out, files, _config_echo(config), __version__)
+    grid = config.grid or GridSpec(0.0, 3.0, 128, 0.0, 8.0, 128)
+    chi_axis, q_axis = grid.chi_axis(), grid.p_axis()
+    return _write_panels(config, [(_checked_state(n, params), chi_axis, q_axis, f"wigner_n{n}")
+                                  for n in config.n_list])
 
 
 def run_figure1(config: RunConfig) -> Path:
-    """Reproduce the figure-1 artifact set: per (mode, depth) one grayscale
+    """Reproduce the figure-1 artifact set: per (depth, mode) one grayscale
     panel on scaled axes (chi sqrt(s), pR / sqrt(s)) plus the grid CSV and
-    the two marginal projections."""
-    out = _out_dir(config)
-    depths = (config.s,) if config.s is not None else FIGURE1_DEPTHS
+    the two marginal files."""
     grid = config.grid or GridSpec(0.0, FIGURE1_GRID_EXTENT, FIGURE1_GRID_POINTS,
                                    0.0, FIGURE1_GRID_EXTENT, FIGURE1_GRID_POINTS)
-    files = []
-    for s in depths:
+    panels = []
+    for s in (config.s,) if config.s is not None else FIGURE1_DEPTHS:
         params = OscillatorParams.from_depth(float(s), mu=config.mu, R=config.radius)
+        # the states first: s = 0 has none, and its axes would divide by sqrt(0)
+        states = [_checked_state(n, params) for n in config.n_list]
         root_s = math.sqrt(params.s)
-        chi_axis = grid.chi_axis() / root_s
-        q_axis = grid.p_axis() * root_s
-        for n in config.n_list:
-            panel = wigner_grid(_checked_state(n, params), chi_axis, q_axis)
-            files += _emit_panel(panel, out, f"figure1_s{s:g}_n{n}", config.formats)
-            del panel  # one grid alive at a time
-    return write_manifest(out, files, _config_echo(config), __version__)
+        chi_axis, q_axis = grid.chi_axis() / root_s, grid.p_axis() * root_s
+        panels += [(state, chi_axis, q_axis, f"figure1_s{s:g}_n{state.n}") for state in states]
+    return _write_panels(config, panels)
 
 
 def run_verify(config: RunConfig, echo=print) -> int:

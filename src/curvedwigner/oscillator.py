@@ -211,9 +211,10 @@ def _momentum_closed_3f2(state: BoundStateLabel, p: float, log_scale: float = 0.
 
 
 _CALIBRATION_PROBES = (0.45, 0.85, 1.35)  # dimensionless q = p R
+_CALIBRATION_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
 
 
-def momentum_calibration(state: BoundStateLabel, spec: QuadratureSpec | None = None) -> complex:
+def momentum_calibration(state: BoundStateLabel) -> complex:
     """Measured constant tying the printed closed momentum-space form to the
     numerical transform of psi_bound.
 
@@ -223,7 +224,6 @@ def momentum_calibration(state: BoundStateLabel, spec: QuadratureSpec | None = N
     ``psi_momentum`` carries; verification reports the measured values.
     """
     state._require_normalizable()
-    spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     R = state.params.R
     sampler = bound_sampler(state)
     best_q, best_mag = None, -1.0
@@ -231,7 +231,7 @@ def momentum_calibration(state: BoundStateLabel, spec: QuadratureSpec | None = N
         mag = abs(_momentum_closed_3f2(state, q / R))
         if mag > best_mag:
             best_q, best_mag = q, mag
-    exact = shapiro_forward_1d(sampler, best_q / R, R, spec)
+    exact = shapiro_forward_1d(sampler, best_q / R, R, _CALIBRATION_SPEC)
     return exact / _momentum_closed_3f2(state, best_q / R)
 
 

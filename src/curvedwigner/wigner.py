@@ -58,6 +58,11 @@ and the whole flattened chi x q block at once.  Near q = 0 the formula
 degenerates (paired gamma/hypergeometric poles); values there are rebuilt
 by even-in-q Lagrange interpolation from four columns just outside it.
 
+``exact_marginals`` is the one home of the densities |psi(chi)|^2 and
+|psi~(p)|^2: the CLI writes them as each panel's marginal files, and
+verification criterion 2 holds the integrated marginals of engine grids to
+them.
+
 Both correlation routes cut the tau integral at |tau| = T from the declared
 decay envelopes |f| <= a_f e^{-r_f |u|}, |g| <= a_g e^{-r_g |u|}: beyond
 |tau| = 2|chi| the correlation is bounded by
@@ -75,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
-from .oscillator import BoundStateLabel, bound_sampler
+from .oscillator import BoundStateLabel, OscillatorParams, bound_sampler, psi_bound, psi_momentum
 from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import _pochhammer, laguerre, log_gamma
@@ -88,12 +93,12 @@ __all__ = [
     "wigner_grid",
     "wigner_quadrature_1d",
     "wigner_closed_grid",
+    "exact_marginals",
     "marginal_momentum_integrated",
     "marginal_position_integrated",
     "total_probability",
     "flat_ho_wigner",
     "contraction_report",
-    "ContractionReport",
 ]
 
 CHI_MIN = 0.05          # below this |chi| the closed form is not evaluated
@@ -421,6 +426,26 @@ def _trapezoid(y: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
     return t.sum(axis)
 
 
+def exact_marginals(state: BoundStateLabel, chi_axis, pR_axis):
+    """(|psi(chi)|^2, |psi~(p)|^2) of ``state`` at the axis points, the
+    exact marginals of the sum the engine evaluates, not an integral over a
+    display window.
+
+    The engine's W_h(chi, q) = (R h / 2 pi) sum_k w_k c(chi, tau_k) cos(tau_k q)
+    has period 2 pi / h in q; integrated over one period and divided by R,
+    every k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left,
+    with no truncation and no step.  integral dchi W = |psi~(p)|^2 is the
+    paper's identity, which verification criterion 2 checks for the engine
+    on a grid covering the support, and criterion 9 checks the 3F2 form of
+    psi~ against the numerical transform.
+    """
+    R = state.params.R
+    position = psi_bound(state, np.asarray(chi_axis, dtype=float)) ** 2
+    momentum = np.array([abs(psi_momentum(state, q / R)) ** 2
+                         for q in np.asarray(pR_axis, dtype=float)])
+    return position, momentum
+
+
 def marginal_momentum_integrated(grid: WignerGrid) -> np.ndarray:
     """integral dp W over the full momentum axis (the grid's pR axis over its
     R), per chi row; equals |psi(chi)|^2 for a diagonal Wigner function.
@@ -453,44 +478,28 @@ def flat_ho_wigner(n: int, mu: float, omega: float, x: float, p: float) -> float
     return (-1.0) ** n / math.pi * math.exp(-r2) * laguerre(n, 2.0 * r2)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    """Deviation of bound-state Wigner grids from the flat reference as the
-    depth grows."""
-
-    n: int
-    s_values: tuple
-    deviations: tuple
-    scaled_extent: float
-
-
-def contraction_report(n: int, s_list, mu: float = 1.0, R: float = 1.0,
-                       points: int = 13, scaled_extent: float = 3.0) -> ContractionReport:
-    """Compare W(psi_n^s) against the flat Laguerre-Gaussian reference on the
-    scaled grid (chi sqrt(s), pR / sqrt(s)) in [0, scaled_extent]^2.
+def contraction_report(n: int, s_list) -> tuple:
+    """Deviation of W(psi_n^s) from the flat Laguerre-Gaussian reference, one
+    per s, on the 13 x 13 scaled grid (chi sqrt(s), pR / sqrt(s)) in
+    [0, 3]^2 at mu = R = 1.
 
     The deviation for each s is max |W_pt - W_flat| / max |W_flat| over the
     points where |W_flat| exceeds 5% of its peak.  The metric is symmetric
     under p -> -p by construction (quadrant grids of even functions).
     """
-    from .oscillator import OscillatorParams
-
+    u = np.linspace(0.0, 3.0, 13)
     devs = []
-    s_vals = tuple(float(s) for s in s_list)
-    for s in s_vals:
-        params = OscillatorParams.from_depth(s, mu=mu, R=R)
-        state = BoundStateLabel(n, params)
-        u = np.linspace(0.0, scaled_extent, points)
+    for s in map(float, s_list):
+        params = OscillatorParams.from_depth(s)
         chi = u / math.sqrt(s)
         qs = u * math.sqrt(s)
-        grid = wigner_grid(state, chi, qs)
-        flat = np.array([[flat_ho_wigner(n, mu, params.omega, c, q / R) for q in qs]
+        grid = wigner_grid(BoundStateLabel(n, params), chi, qs)
+        flat = np.array([[flat_ho_wigner(n, 1.0, params.omega, c, q) for q in qs]
                          for c in chi])
         peak = float(np.max(np.abs(flat)))
         mask = np.abs(flat) > 0.05 * peak
         devs.append(float(np.max(np.abs(grid.values - flat)[mask])) / peak)
-    return ContractionReport(n=n, s_values=s_vals, deviations=tuple(devs),
-                             scaled_extent=scaled_extent)
+    return tuple(devs)
 
 
 def _mirror_index(axis: np.ndarray):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,41 @@ class TestConfigHandling:
         # an infinite tolerance scale would certify anything
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "must be finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["eigen", "--s", "-2"], None),
+        (["eigen", "--omega", "-1"], None),
+        (["wigner", "--s", "-2", "--n", "0", "--grid", "0:1:3,0:1:3"], None),
+        (["figure1", "--s", "-1", "--n", "0", "--grid", "0:1:3,0:1:3"], None),
+        (["eigen"], {"omega": -1.0}),
+        (["figure1", "--n", "0"], {"s": -1.0}),
+    ], ids=["eigen_s", "eigen_omega", "wigner_s", "figure1_s", "config_omega", "config_s"])
+    def test_negative_depth_or_frequency_exits_two(self, tmp_path, capsys, argv, config):
+        # a configuration error, raised before the output directory is made
+        if config is not None:
+            cfg_file = tmp_path / "c.json"
+            cfg_file.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg_file)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["wavefun", "wigner", "figure1"])
+    def test_mode_out_of_range_writes_nothing(self, tmp_path, capsys, command):
+        # every mode is checked before the first file: no partial output
+        assert main([command, "--s", "4", "--n", "0,9", "--grid", "0:1:3,0:1:3",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "outside the normalizable bound range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_figure1_at_zero_depth_exits_two_without_warning(self, tmp_path, capsys):
+        # s = 0 has no normalizable state: the mode check comes before the
+        # axes are divided by sqrt(s) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["figure1", "--s", "0", "--n", "0", "--out", str(tmp_path / "out")]) == 2
+        assert "outside the normalizable bound range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,config,message", [

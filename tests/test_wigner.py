@@ -422,7 +422,11 @@ class TestGridRoutesMatchPointRoutes:
                     assert abs(val - solo) <= tol, (c, q, abs(val - solo), tol)
 
     def test_closed_grid_equals_per_point(self, s4_states):
-        # pR = 0, inside the even-in-q interpolation strip, and beyond it
+        # pR = 0, inside the even-in-q interpolation strip, and beyond it.
+        # Bit-equality holds at these small sizes only: NumPy's complex array
+        # arithmetic rounds differently with array length (the same series on
+        # a 16 x 1760 stacked block differed by up to 4.5e-13), so the axes
+        # stay short.
         chi = np.array([0.1, 0.4, 1.3])
         qs = np.array([0.0, 0.5 * wigner.Q_EXTRAP, wigner.Q_EXTRAP, 0.4, 3.0])
         for state in s4_states:
@@ -513,10 +517,9 @@ class TestFlatReference:
 
 class TestContraction:
     def test_deviation_decreases_with_depth(self):
-        report = contraction_report(0, [4.0, 10.0, 30.0], points=9)
-        devs = report.deviations
+        devs = contraction_report(0, [4.0, 10.0, 30.0])
         assert all(a > b for a, b in zip(devs, devs[1:]))
-        assert report.deviations[-1] < 0.02
+        assert devs[-1] < 0.02
 
     def test_flat_reference_self_deviation_zero(self):
         # the metric applied to the flat reference itself vanishes
