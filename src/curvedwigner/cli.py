@@ -125,8 +125,10 @@ class RunConfig:
             raise ConfigError("tolerance scale must be positive")
         if not self.n_list or any(not (0 <= n < math.inf) or n != int(n) for n in self.n_list):
             raise ConfigError("mode list must be a non-empty list of non-negative integers")
-        # a mode names files: 2.0 from a config file is mode 2
+        # a mode names files: 2.0 from a config file is mode 2, and no mode twice
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ConfigError(f"mode list {list(self.n_list)} repeats a mode")
         if not self.formats or any(f not in ("csv", "pgm") for f in self.formats):
             raise ConfigError("formats must be a non-empty subset of {csv, pgm}")
 
@@ -192,8 +194,8 @@ def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
     count = bound_state_count(params)
     if n >= count or BoundStateLabel(n, params).at_threshold:
         raise ConfigError(
-            f"mode n={n} is outside the normalizable bound range for s={params.s:g} "
-            f"({count} level(s), the top one at threshold when s is an integer)")
+            f"mode n={n} is outside the normalizable bound range for s={params.s:g}: it "
+            f"needs s - n > 0 ({count} level(s), the top one at threshold when s is whole)")
     return BoundStateLabel(n, params)
 
 

@@ -88,29 +88,25 @@ class OscillatorParams:
         return cls(mu, omega, R)
 
 
-def _level_bound(s: float) -> float:
-    """The strict upper bound s + 1 on level indices, snapped to the nearest
-    integer when s is one to rounding accuracy (so depth round-trips do not
-    leak an extra level)."""
-    b = s + 1.0
-    if abs(b - round(b)) < 1e-12 * max(1.0, abs(b)):
-        return float(round(b))
-    return b
+def _sigma_tol(s: float) -> float:
+    """Rounding tolerance on sigma = s - n in every level decision."""
+    return 1e-12 * max(1.0, s)
 
 
 def bound_state_count(params: OscillatorParams) -> int:
-    """Number of levels n with n < s + 1.  The vanishing well (omega = 0)
-    supports none: its only candidate label n = 0 sits exactly at the
-    threshold with an identically vanishing profile."""
+    """floor(s) + 1: the levels are the integers n >= 0 with sigma = s - n >= 0
+    to rounding accuracy.  The vanishing well (omega = 0) supports none: its
+    only label n = 0 sits at threshold with an identically vanishing profile."""
     if params.omega == 0.0:
         return 0
-    b = _level_bound(params.s)
-    return int(b) if b == int(b) else math.ceil(b)
+    return math.floor(params.s + _sigma_tol(params.s)) + 1
 
 
 @dataclass(frozen=True)
 class BoundStateLabel:
-    """Discrete level n of the well; requires n < s + 1."""
+    """Discrete level n of the well: an integer n >= 0 with sigma = s - n >= 0
+    (to rounding accuracy).  sigma > 0 gives a normalizable state; sigma = 0,
+    only for whole s, the zero-norm threshold level."""
 
     n: int
     params: OscillatorParams
@@ -118,7 +114,7 @@ class BoundStateLabel:
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise ValueError("n must be a non-negative integer")
-        if self.n >= _level_bound(self.params.s):
+        if self.sigma < -_sigma_tol(self.s):
             raise DomainError(f"level n={self.n} is unbound for s={self.params.s}")
 
     @property
@@ -135,7 +131,7 @@ class BoundStateLabel:
     def at_threshold(self) -> bool:
         """True for the zero-norm level n = s (to rounding accuracy): its
         energy is E0, but its profile vanishes identically."""
-        return self.sigma <= 1e-12 * max(1.0, self.s)
+        return self.sigma <= _sigma_tol(self.s)
 
     def _require_normalizable(self):
         if self.at_threshold:
@@ -146,9 +142,10 @@ class BoundStateLabel:
 
 
 def energy(n: int, params: OscillatorParams) -> float:
-    """E_n = mu omega^2 R^2 / 2 - (n - s)^2 / (2 mu R^2), strictly increasing
-    in n and bounded by the threshold E0."""
-    state = BoundStateLabel(n, params)  # validates n < s + 1
+    """E_n = mu omega^2 R^2 / 2 - (n - s)^2 / (2 mu R^2) for a level n (an
+    integer with sigma = s - n >= 0): strictly increasing in n and bounded by
+    the threshold E0, which only the threshold level n = s attains."""
+    state = BoundStateLabel(n, params)  # validates sigma >= 0
     return params.E0 - state.sigma ** 2 / (2.0 * params.mu * params.R ** 2)
 
 

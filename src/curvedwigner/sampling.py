@@ -35,7 +35,8 @@ class DecayEnvelope:
 
     def tail_radius(self, tail_bound: float) -> float:
         """Smallest T with integral of the envelope over |u| > T below
-        ``tail_bound``.  Requires a strictly decaying envelope."""
+        ``tail_bound``, floored at 4: when the whole envelope is already
+        under the bound, T = 4.  Requires a strictly decaying envelope."""
         if self.rate <= 0:
             raise DomainError("envelope does not decay; integral cannot be truncated")
         if tail_bound <= 0:
@@ -43,7 +44,7 @@ class DecayEnvelope:
         # log of the envelope's mass 2 amplitude / rate over the whole line
         excess = self.log_amplitude + math.log(2.0 / self.rate) - math.log(tail_bound)
         if excess <= 0:
-            return 1.0
+            return 4.0
         return excess / self.rate
 
 

@@ -3,7 +3,8 @@ machine-readable report.
 
 Each criterion returns a CriterionResult with a pass flag and enough detail
 to audit the numbers.  ``tol_scale`` multiplies every tolerance (values
-below 1 tighten the suite; the negative control in the test suite uses
+below 1 tighten the suite; the negative control
+``tests/test_acceptance.py::test_negative_control_run_all_tightened`` uses
 1e-3 and expects failures).
 """
 

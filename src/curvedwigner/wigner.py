@@ -63,13 +63,10 @@ by even-in-q Lagrange interpolation from four columns just outside it.
 verification criterion 2 holds the integrated marginals of engine grids to
 them.
 
-Both correlation routes cut the tau integral at |tau| = T from the declared
-decay envelopes |f| <= a_f e^{-r_f |u|}, |g| <= a_g e^{-r_g |u|}: beyond
-|tau| = 2|chi| the correlation is bounded by
-a_f a_g e^{-2 min(r_f, r_g) |chi|} e^{-(r_f + r_g)(|tau| - 2|chi|) / 2},
-so T is 2|chi| plus a margin that falls as |chi| grows (and is 4 once the
-tails are already under budget); the discarded tails stay below a tenth of
-the absolute tolerance (derivation in ``_pair_truncation``).
+Both correlation routes cut the tau integral at |tau| = T = 2|chi| plus the
+tail radius of the correlation's envelope beyond 2|chi|, so the discarded
+tails stay below a tenth of the absolute tolerance (derivation in
+``_pair_truncation``).
 """
 
 from __future__ import annotations
@@ -157,23 +154,20 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
         mass e^{-rate (T - 2|chi|) / 2},  mass = 4 amp e^{-2 min(r_f, r_g) |chi|} / rate,
 
     which meets the budget 0.1 abs_tol 2 pi / R (W carries the factor
-    R / 2 pi) at T = 2|chi| + 2 log(mass / budget) / rate.  When the mass is
-    already under budget, T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate, T
+    R / 2 pi) at T = 2|chi| + 2 log(mass / budget) / rate: the tail radius of
+    the envelope amp e^{-2 min(r_f, r_g) |chi|} e^{-rate |u| / 2}
+    (``DecayEnvelope.tail_radius``).  When the mass is already under budget,
+    its floor gives T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate, T
     never decreases in |chi|, so a T taken at the largest |chi| of a grid is
     valid for every row; T <= 2|chi| + max(T(0), 4), and for equal rates
     T <= max(T(0), 2|chi| + 4).  The mass is formed as a logarithm from the
     envelopes' log amplitudes: amp alone overflows a double at large depth.
     """
-    rate = f.envelope.rate + g.envelope.rate
-    if rate <= 0:
-        raise DomainError("both samplers must decay for the correlation integral to truncate")
     budget = 0.1 * spec.abs_tol * 2.0 * math.pi / R
-    slow = min(f.envelope.rate, g.envelope.rate)
-    excess = (f.envelope.log_amplitude + g.envelope.log_amplitude - 2.0 * slow * abs(chi)
-              + math.log(4.0 / rate) - math.log(budget))
-    if excess <= 0:
-        return 2.0 * abs(chi) + 4.0
-    return 2.0 * abs(chi) + 2.0 * excess / rate
+    tails = DecayEnvelope(f.envelope.log_amplitude + g.envelope.log_amplitude
+                          - 2.0 * min(f.envelope.rate, g.envelope.rate) * abs(chi),
+                          (f.envelope.rate + g.envelope.rate) / 2.0)
+    return 2.0 * abs(chi) + tails.tail_radius(budget)
 
 
 def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
@@ -339,8 +333,9 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     discrepancy).
 
     The correlation of a real profile is even in tau, so each grid is one
-    half-line trapezoid sum.  T (from the largest |chi|), the step h, the
-    nodes and both cos(tau q) matrices are built once per grid; the chi rows
+    half-line trapezoid sum.  T (from the largest |chi|) and the step h both
+    read the sampler's envelope, whose rate is sigma; they, the nodes and
+    both cos(tau q) matrices are built once per grid; the chi rows
     then go through in blocks of about _BLOCK_ELEMENTS elements per
     temporary, written into one output array, so the peak memory is the
     grid's values plus a fixed budget.  The contraction stays ``einsum``:
@@ -355,7 +350,7 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     f = bound_sampler(state)
     R = state.params.R
     T = _pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = _spectral_step(float(np.max(np.abs(qs))), state.sigma, spec)
+    h = _spectral_step(float(np.max(np.abs(qs))), f.envelope.rate, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
     # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
     coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, qs))) for taus, weights in

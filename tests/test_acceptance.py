@@ -109,3 +109,13 @@ def test_criterion_9_momentum_calibration():
 def test_criterion_10_reproducibility():
     res = _run(verify.criterion_reproducibility)
     assert res.passed, res.detail
+
+
+def test_negative_control_run_all_tightened():
+    # at scale 1 each of these sits at about 0.1-0.45 of its tolerance, so a
+    # 1e-3 scale fails it by at least 100x; thinner margins are not pinned
+    results, ok = verify.run_all(tol_scale=1e-3, echo=None)
+    failed = {r.name for r in results if not r.passed}
+    assert not ok
+    assert {"oracle_equivalence", "marginals", "special_functions", "geometry",
+            "norm_factors"} <= failed

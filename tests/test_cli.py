@@ -94,6 +94,15 @@ class TestEigen:
         assert main(["wavefun", "--omega", "4.47213595499958", "--n", "4",
                      "--out", str(tmp_path)]) == 2
 
+    def test_non_integer_depth_has_no_threshold_level(self, capsys):
+        # s = 4.2: the levels n = 0..4, none at threshold (n = 5 has s - n < 0)
+        assert main(["eigen", "--s", "4.2"]) == 0
+        out = capsys.readouterr().out
+        assert "bound states: 5" in out and "threshold level" not in out
+        assert main(["eigen", "--s", "0.5"]) == 0
+        levels = [ln for ln in capsys.readouterr().out.splitlines() if "n=" in ln]
+        assert len(levels) == 1 and "threshold level" not in levels[0]
+
     def test_writes_csv(self, tmp_path):
         cfg = RunConfig(command="eigen", s=4.0, out_dir=str(tmp_path))
         run_eigen(cfg, echo=lambda s: None)
@@ -237,6 +246,22 @@ class TestConfigHandling:
         assert "outside the normalizable bound range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["wavefun", "--s", "4", "--n", "1,1"], None),
+        (["wigner", "--s", "4", "--n", "0,0"], None),
+        (["figure1", "--n", "1,1"], None),
+        (["wigner", "--s", "4"], {"n_list": [1, 1]}),
+    ], ids=["wavefun", "wigner", "figure1", "config_file"])
+    def test_repeated_mode_exits_two(self, tmp_path, capsys, argv, config):
+        # a repeated mode would write its files twice and list them twice
+        if config is not None:
+            cfg_file = tmp_path / "c.json"
+            cfg_file.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg_file)]
+        assert main(argv + ["--grid", "0:1:3,0:1:3", "--out", str(tmp_path / "out")]) == 2
+        assert "repeats a mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_figure1_at_zero_depth_exits_two_without_warning(self, tmp_path, capsys):
         # s = 0 has no normalizable state: the mode check comes before the
         # axes are divided by sqrt(s) = 0
@@ -327,6 +352,11 @@ class TestWavefun:
         assert names == ["chi", "psi"]
         assert cols[1][0] == pytest.approx(1.04582503, abs=1e-6)
 
+
+    def test_non_integer_depth_top_level(self, tmp_path):
+        # n = 4 < s = 4.2 is the top level, normalizable
+        assert main(["wavefun", "--s", "4.2", "--n", "4", "--grid", "0:1:3,0:1:3",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_deep_well_runs(self, tmp_path):
         # s = 600: |Gamma((s - n - ipR)/2)|^2 alone overflows a double

@@ -73,8 +73,26 @@ class TestSpectrum:
         assert bound_state_count(OscillatorParams(1.0, 0.0, 1.0)) == 0
 
     def test_non_integer_depth_count(self):
-        # strict n < s + 1 keeps every integer below 5.2
-        assert bound_state_count(OscillatorParams.from_depth(4.2)) == 6
+        # the levels are the n >= 0 with sigma = s - n >= 0: n = 0..4 at s = 4.2
+        assert bound_state_count(OscillatorParams.from_depth(4.2)) == 5
+
+    @pytest.mark.parametrize("s", [0.5, 4.2, 7.3, 30.0])
+    def test_level_rule(self, s):
+        # floor(s) + 1 levels below E0, strictly increasing; only a whole
+        # depth's top level n = s sits at threshold without a wavefunction
+        params = OscillatorParams.from_depth(s)
+        count = bound_state_count(params)
+        assert count == math.floor(s) + 1
+        es = [energy(n, params) for n in range(count)]
+        assert all(a < b for a, b in zip(es, es[1:]))
+        assert all(e <= params.E0 for e in es)
+        for n in range(count):
+            state = BoundStateLabel(n, params)
+            assert state.at_threshold == (s == int(s) and n == count - 1)
+            if not state.at_threshold:
+                assert np.isfinite(psi_bound(state, np.linspace(-3.0, 3.0, 7))).all()
+        with pytest.raises(DomainError):
+            BoundStateLabel(count, params)
 
     def test_monotone_and_bounded(self, s4_params):
         es = [energy(n, s4_params) for n in range(5)]
