@@ -62,7 +62,7 @@ from .wigner import (
     total_probability,
     wigner_closed_grid,
     wigner_grid,
-    wigner_quadrature_1d,
+    wigner_quadrature_grid,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,7 +5,9 @@ Each criterion returns a CriterionResult with a pass flag and enough detail
 to audit the numbers.  ``tol_scale`` multiplies every tolerance (values
 below 1 tighten the suite; the negative control
 ``tests/test_acceptance.py::test_negative_control_run_all_tightened`` uses
-1e-3 and expects failures).
+1e-3 and expects failures).  A second control,
+``test_negative_control_perturbed_closed_form``, perturbs the data instead:
+criterion 1 must fail on a closed form scaled by 1 + 3e-5.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .wigner import (
     total_probability,
     wigner_closed_grid,
     wigner_grid,
-    wigner_quadrature_1d,
+    wigner_quadrature_grid,
 )
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_all", "write_report"]
@@ -99,8 +101,9 @@ def criterion_oracle_equivalence(tol_scale: float = 1.0) -> CriterionResult:
     for state in states:
         f = bound_sampler(state)
         closed = wigner_closed_grid(state, chi, qs)
-        # one vector quadrature per chi row; a real diagonal pair has imaginary part 0
-        quad = np.array([wigner_quadrature_1d(f, f, c, qs / R, R, spec).real for c in chi])
+        # one grid-oracle call per state: its rows go in blocks, each block one
+        # vector quadrature; a real diagonal pair has imaginary part 0
+        quad = wigner_quadrature_grid(f, f, chi, qs / R, R, spec).real
         excess = np.abs(closed - quad) / np.maximum(abs_tol, rel_tol * np.abs(quad))
         worst = max(worst, float(excess.max()))
     elapsed = time.perf_counter() - t0

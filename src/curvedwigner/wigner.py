@@ -14,21 +14,26 @@ and two independent oracles.
   (2014) 385).  The step is halved once over the whole grid; any
   disagreement raises PrecisionLossError rather than being patched.
 
-* ``wigner_quadrature_1d`` integrates the defining correlation integral
+* ``wigner_quadrature_grid`` integrates the defining correlation integral
 
       W(f, g | chi, p) = (R / 2 pi) * integral dtau
           conj(f)(chi - tau/2) exp(-i p R tau) g(chi + tau/2)
 
-  by adaptive Gauss-Kronrod panels.  This is the ground truth: verification
-  criterion 1 and the tests check the other routes against it.  The tau < 0
-  half is folded onto tau in [0, T]: with c(tau) the integrand's profile
-  product, c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two
-  profile arguments, so one integrand over the half line gives the whole
-  integral for diagonal and cross pairs alike, with about half the nodes;
-  for a real diagonal pair it is the real 2 c(tau) cos(q tau).  An array of
-  momenta at one chi is one vector integrand on a single adaptive
-  partition, refined until every momentum meets its own tolerance, so the
-  profile is sampled once per node for all momenta.
+  by adaptive Gauss-Kronrod panels over a chi axis and an array of
+  momenta.  This is the ground truth: verification criterion 1 and the
+  tests check the other routes against it.  The tau < 0 half is folded
+  onto tau in [0, T]: with c(tau) the integrand's profile product,
+  c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two profile
+  arguments, so one integrand over the half line gives the whole integral
+  for diagonal and cross pairs alike, with about half the nodes; for a real
+  diagonal pair it is the real 2 c(tau) cos(q tau).  The rows go in axis
+  order, in blocks of at most _ORACLE_COMPONENTS (chi, p) components, and
+  each block is one vector integrand on a single adaptive partition,
+  refined until every component meets its own tolerance, so the profiles
+  are sampled once per node for the whole block.  One T, taken at the
+  block's largest |chi|, serves every row of the block because T never
+  decreases in |chi| (``_pair_truncation``).  ``wigner_quadrature_1d`` is
+  the one-row case.
 
 * ``wigner_closed_grid`` evaluates the bound-state diagonal W(psi_n | chi, p)
   in closed form: a double sum over (k, k') of gamma-function coefficients
@@ -88,7 +93,7 @@ __all__ = [
     "QuadratureSpec",
     "WignerGrid",
     "wigner_grid",
-    "wigner_quadrature_1d",
+    "wigner_quadrature_grid",
     "wigner_closed_grid",
     "exact_marginals",
     "marginal_momentum_integrated",
@@ -104,6 +109,7 @@ _F21_MAX_TERMS = 200_000
 _BOUND_MARGIN = 1e-6    # relative slack on |W| <= R/pi before the closed form is rejected
 
 _BLOCK_ELEMENTS = 2 ** 13  # engine temporaries per block of chi rows
+_ORACLE_COMPONENTS = 2 ** 9  # quadrature oracle (chi, p) components per vector integral
 
 
 # eq=False: the fields hold arrays, so == and hash() go by identity.
@@ -170,18 +176,23 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
     return 2.0 * abs(chi) + tails.tail_radius(budget)
 
 
-def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
-                         R: float, spec: QuadratureSpec | None = None):
-    """Direct correlation-integral Wigner value at one chi, complex in
-    general, with an imaginary part of exactly 0 when f and g are the same
-    real profile.
+def wigner_quadrature_grid(f: FieldSampler, g: FieldSampler, chi_axis, p,
+                           R: float, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Direct correlation-integral Wigner values over a chi axis and an
+    array of momenta, complex of shape (len(chi_axis), len(p)) (a scalar p
+    is one momentum), with an imaginary part of exactly 0 when f and g are
+    the same real profile.
 
-    A scalar p gives a complex scalar; an array of momenta gives one value
-    per p from a single vector Gauss-Kronrod call: the momenta share the
-    truncation T and one adaptive partition, refined until every momentum
-    meets its own tolerance, so the profiles are sampled once per node for
-    all of them.  A value therefore depends on the other momenta of the
-    call, within the tolerances.
+    The rows go in axis order, in blocks of at most _ORACLE_COMPONENTS
+    (chi, p) components (one row when the momenta alone exceed it), and
+    each block is one vector Gauss-Kronrod integral: its components share
+    the truncation T, taken at the block's largest |chi| (valid for every
+    row, since T never decreases in |chi|; see ``_pair_truncation``), and
+    one adaptive partition, refined until every component meets its own
+    tolerance, so the profiles are sampled once per node for the whole
+    block.  A value therefore depends on the other components of its block,
+    within the tolerances; the budget bounds the memory of a block's
+    panels, so a long axis costs time, not memory.
 
     With c(tau) = conj f(chi - tau/2) g(chi + tau/2) the integral over
     [-T, T] is folded onto [0, T]:
@@ -198,23 +209,45 @@ def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
     ``max(8, |q| T / 3 + 1)`` were on [-T, T] for the fastest momentum.
     """
     spec = spec or QuadratureSpec()
+    chi = np.asarray(chi_axis, dtype=float)
     q = np.atleast_1d(np.asarray(p, dtype=float)) * R
-    T = _pair_truncation(f, g, chi, R, spec)
+    values = np.empty((len(chi), len(q)), dtype=complex)
+    step = max(1, _ORACLE_COMPONENTS // len(q))  # rows per block
 
-    def integrand(tau):
-        half = tau / 2.0
-        f_minus, f_plus = f(chi - half), f(chi + half)
+    def integrand(rows, tau):
+        # profile arguments chi -/+ tau/2 of shape (node, row), flattened for the samplers
+        minus, plus = rows - tau[:, None] / 2.0, rows + tau[:, None] / 2.0
+        f_minus, f_plus = (f(u.ravel()).reshape(u.shape) for u in (minus, plus))
         if g is f and not np.iscomplexobj(f_minus):
-            return (2.0 * f_minus * f_plus)[:, None] * np.cos(np.outer(tau, q))
-        g_minus, g_plus = (f_minus, f_plus) if g is f else (g(chi - half), g(chi + half))
+            out = (2.0 * f_minus * f_plus)[:, :, None] * np.cos(np.outer(tau, q))[:, None, :]
+            return out.reshape(len(tau), -1)
+        g_minus, g_plus = ((f_minus, f_plus) if g is f else
+                           (g(u.ravel()).reshape(u.shape) for u in (minus, plus)))
         if np.iscomplexobj(f_minus):  # np.conj of a real array is only a copy
             f_minus, f_plus = np.conj(f_minus), np.conj(f_plus)
-        phase = np.exp(-1j * np.outer(tau, q))
-        return (f_minus * g_plus)[:, None] * phase + (f_plus * g_minus)[:, None] * np.conj(phase)
+        phase = np.exp(-1j * np.outer(tau, q))[:, None, :]
+        out = (f_minus * g_plus)[:, :, None] * phase + (f_plus * g_minus)[:, :, None] * np.conj(phase)
+        return out.reshape(len(tau), -1)
 
-    n0 = max(4, int(np.max(np.abs(q), initial=0.0) * T / 6.0) + 1)
-    vals, _ = gauss_kronrod_vector(integrand, 0.0, T, spec, n0)
-    vals = R / (2.0 * math.pi) * vals.astype(complex)
+    for start in range(0, len(chi), step):
+        rows = chi[start:start + step]
+        T = _pair_truncation(f, g, float(np.max(np.abs(rows))), R, spec)
+        n0 = max(4, int(np.max(np.abs(q), initial=0.0) * T / 6.0) + 1)
+        vals, _ = gauss_kronrod_vector(lambda tau: integrand(rows, tau), 0.0, T, spec, n0)
+        values[start:start + step] = (R / (2.0 * math.pi) * vals.astype(complex)).reshape(len(rows), -1)
+    return values
+
+
+def wigner_quadrature_1d(f: FieldSampler, g: FieldSampler, chi: float, p,
+                         R: float, spec: QuadratureSpec | None = None):
+    """Direct correlation-integral Wigner value at one chi: the one-row case
+    of ``wigner_quadrature_grid``, row 0 of its values for the axis [chi].
+
+    A scalar p gives a complex scalar; an array of momenta gives one value
+    per p, all from one vector integral on a shared partition, so a value
+    depends on the other momenta of the call, within the tolerances.
+    """
+    vals = wigner_quadrature_grid(f, g, [chi], p, R, spec)[0]
     return vals[0] if np.ndim(p) == 0 else vals
 
 

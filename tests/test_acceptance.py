@@ -31,6 +31,19 @@ def test_criterion_1_oracle_equivalence():
     assert res.data["elapsed_s"] < 60.0
 
 
+def test_negative_control_perturbed_closed_form(monkeypatch):
+    # the closed form scaled by 1 + 3e-5, three times criterion 1's relative
+    # tolerance: the grid oracle's batching must not hide it
+    res = verify.criterion_oracle_equivalence()
+    assert res.passed, res.detail
+    closed = verify.wigner_closed_grid
+    monkeypatch.setattr(verify, "wigner_closed_grid",
+                        lambda *args: (1.0 + 3e-5) * closed(*args))
+    res = _run(verify.criterion_oracle_equivalence)
+    assert not res.passed
+    assert res.data["worst_fraction_of_tol"] > 2.0
+
+
 @pytest.fixture(scope="module")
 def marginals_result():
     return _run(verify.criterion_marginals)

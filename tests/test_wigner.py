@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from curvedwigner.wigner import (
     wigner_closed_grid,
     wigner_grid,
     wigner_quadrature_1d,
+    wigner_quadrature_grid,
 )
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
@@ -130,6 +132,82 @@ class TestQuadratureRoute:
                 general = wigner_quadrature_1d(f, g, c, qs / R, R)
                 assert np.allclose(fast.real, general.real, rtol=1e-14, atol=1e-16)
                 assert np.all(np.abs(general.imag) <= 1e-16)
+
+
+def oracle_pairs(s, R=1.3):
+    """Diagonal pairs of the s-deep n = 0 and n = 3 states, their cross pair
+    and a complex Gaussian pair."""
+    params = OscillatorParams.from_depth(s, R=R)
+    f0, f3 = (bound_sampler(BoundStateLabel(n, params)) for n in (0, 3))
+    return [(f0, f0), (f3, f3), (f0, f3),
+            (gaussian_sampler(width=1.0, center=0.3, phase_k=1.7),
+             gaussian_sampler(width=0.6, center=-0.4, phase_k=-0.5))]
+
+
+class TestQuadratureGrid:
+    R = 1.3
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_scalar_oracle_is_row_zero(self, s):
+        ps = np.linspace(0.0, 5.0, 11)
+        for f, g in oracle_pairs(s, self.R):
+            for chi in (-0.7, 0.0, 0.45):
+                for spec in (None, TIGHT):
+                    row = wigner_quadrature_grid(f, g, [chi], ps, self.R, spec)
+                    assert row.shape == (1, len(ps))
+                    assert wigner_quadrature_1d(f, g, chi, ps, self.R, spec).tobytes() == row[0].tobytes()
+                    for p in (0.0, 1.1, 4.3):
+                        solo = wigner_quadrature_1d(f, g, chi, p, self.R, spec)
+                        assert np.ndim(solo) == 0
+                        one = wigner_quadrature_grid(f, g, [chi], p, self.R, spec)
+                        assert one.shape == (1, 1) and one[0, 0].tobytes() == solo.tobytes()
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_reversed_rows_in_one_block(self, s):
+        chi, ps = np.linspace(-1.0, 2.0, 8), np.linspace(0.0, 5.0, 40)
+        assert len(chi) * len(ps) <= wigner._ORACLE_COMPONENTS  # one block
+        for f, g in oracle_pairs(s, self.R):
+            forward = wigner_quadrature_grid(f, g, chi, ps, self.R)
+            backward = wigner_quadrature_grid(f, g, chi[::-1], ps, self.R)
+            assert backward[::-1].tobytes() == forward.tobytes()
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_real_diagonal_rows_have_zero_imaginary_part(self, s):
+        params = OscillatorParams.from_depth(s, R=self.R)
+        chi, qs = figure1_axes(s, 9)
+        chi = np.concatenate([-chi[::-1], chi[1:]])
+        for n in range(4):
+            f = bound_sampler(BoundStateLabel(n, params))
+            assert not wigner_quadrature_grid(f, f, chi, qs / self.R, self.R).imag.any()
+
+    @pytest.mark.parametrize("pair", ["s4_diagonal", "gaussian_cross"])
+    def test_blocks_agree_with_tight_points(self, pair):
+        # 41 rows x 40 momenta span several blocks; the axis crosses 0
+        f, g = oracle_pairs(4.0, self.R)[1 if pair == "s4_diagonal" else 3]
+        chi, ps = np.linspace(-3.0, 3.0, 41), np.linspace(0.0, 6.0, 40) / self.R
+        assert len(chi) * len(ps) > 2 * wigner._ORACLE_COMPONENTS
+        spec = QuadratureSpec()
+        grid = wigner_quadrature_grid(f, g, chi, ps, self.R, spec)
+        ref = np.array([[wigner_quadrature_1d(f, g, c, p, self.R, TIGHT) for p in ps] for c in chi])
+        tol = sum(np.maximum(self.R / (2.0 * math.pi) * sp.abs_tol, sp.rel_tol * np.abs(ref))
+                  for sp in (spec, TIGHT))
+        assert np.all(np.abs(grid - ref) <= tol), float(np.max(np.abs(grid - ref) / tol))
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # blocks of at most _ORACLE_COMPONENTS components: ten times the rows
+        # add little more than their values, where a single block of all
+        # 400 rows peaks near 130 MB
+        f = oracle_pairs(4.0, self.R)[1][0]
+        ps = np.linspace(0.0, 6.0, 40) / self.R
+        peaks = {}
+        for rows in (40, 400):
+            tracemalloc.start()
+            try:
+                wigner_quadrature_grid(f, f, np.linspace(-3.0, 3.0, rows), ps, self.R)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] - peaks[40] < 2 ** 20, peaks
 
 
 def _pair_T(f, g, chi, R=1.0, spec=QuadratureSpec()):
