@@ -242,11 +242,11 @@ def run_wavefun(config: RunConfig) -> Path:
         n, label = state.n, [f"n={state.n} s={params.s!r} R={params.R!r}"]
         f1 = emit_csv(out / f"wavefun_n{n}.csv", ["chi", "psi"], [chi, psi_bound(state, chi)],
                       comments=label)
-        psit = [psi_momentum(state, q / params.R) for q in qs]
+        psit = psi_momentum(state, qs / params.R)
         f2 = emit_csv(out / f"wavefun_momentum_n{n}.csv",
                       ["pR", "re_psit", "im_psit", "abs2_psit"],
-                      [qs, [z.real for z in psit], [z.imag for z in psit],
-                       [abs(z) ** 2 for z in psit]], comments=label)
+                      [qs, psit.real, psit.imag, [abs(z) ** 2 for z in psit.tolist()]],
+                      comments=label)
         files += [(f1, "wavefun_csv"), (f2, "wavefun_momentum_csv")]
     return write_manifest(out, files, _config_echo(config), __version__)
 

@@ -14,8 +14,7 @@ the position profile, which verification reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,18 +59,24 @@ def depth_param(mu: float, omega: float, R: float) -> float:
 @dataclass(frozen=True)
 class OscillatorParams:
     """Oscillator on a hyperbola of radius R: mass parameter mu (m/hbar^2),
-    frequency omega, and the derived well depth s."""
+    frequency omega, and the derived well depth s.
+
+    ``from_depth`` keeps the depth it is given exactly, where deriving it
+    back from omega would miss by an ulp; s takes part in == and hash(), so
+    two equal parameter sets always have the same depth."""
 
     mu: float
     omega: float
     R: float
+    _depth: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        depth_param(self.mu, self.omega, self.R)  # validates ranges
+        # depth_param validates the ranges
+        object.__setattr__(self, "_depth", depth_param(self.mu, self.omega, self.R))
 
-    @cached_property
+    @property
     def s(self) -> float:
-        return depth_param(self.mu, self.omega, self.R)
+        return self._depth
 
     @property
     def E0(self) -> float:
@@ -80,12 +85,14 @@ class OscillatorParams:
 
     @classmethod
     def from_depth(cls, s: float, mu: float = 1.0, R: float = 1.0) -> "OscillatorParams":
-        """Parameters whose derived depth is exactly ``s`` (inverts
-        s(s+1) = (mu omega R^2)^2)."""
+        """Parameters of depth exactly ``s``: omega solves
+        s(s+1) = (mu omega R^2)^2, and s is kept as given rather than
+        derived back from omega (which can miss it by an ulp)."""
         if s < 0:
             raise DomainError("depth parameter must be non-negative")
-        omega = math.sqrt(s * (s + 1.0)) / (mu * R * R)
-        return cls(mu, omega, R)
+        params = cls(mu, math.sqrt(s * (s + 1.0)) / (mu * R * R), R)
+        object.__setattr__(params, "_depth", float(s))
+        return params
 
 
 def _sigma_tol(s: float) -> float:
@@ -168,7 +175,13 @@ def psi_bound(state: BoundStateLabel, chi):
     chi_arr = np.asarray(chi, dtype=float)
     sig = state.sigma
     lpref = _bound_log_prefactor(state)
-    log_env = sig * (math.log(2.0) - np.log(np.cosh(chi_arr)))
+    dist = np.abs(chi_arr)
+    if dist.max(initial=0.0) <= 700.0:
+        log_cosh = np.log(np.cosh(chi_arr))
+    else:  # cosh overflows past |chi| ~ 710, where log cosh = |chi| - log 2 to the last bit
+        log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
+                            np.log(np.cosh(np.minimum(dist, 700.0))))
+    log_env = sig * (math.log(2.0) - log_cosh)
     vals = np.exp(lpref + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
     return vals if vals.ndim else float(vals)
 
@@ -190,21 +203,31 @@ def bound_sampler(state: BoundStateLabel) -> FieldSampler:
     )
 
 
-def _momentum_closed_3f2(state: BoundStateLabel, p: float, log_scale: float = 0.0) -> complex:
-    """Closed momentum-space form as printed, times exp(log_scale):
+def _momentum_closed_3f2(state: BoundStateLabel, log_scale: float = 0.0):
+    """Closed momentum-space form as printed, times exp(log_scale), as a
+    function of p:
 
         (R/2) sqrt(G(2s-n+1) / (pi (s-n) n!)) |G((s-n-ipR)/2)|^2 / G(s-n)^2
         * 3F2(-n, 2s-n+1, (s-n-ipR)/2; s-n+1, s-n; 1).
+
+    The p-independent part of the log prefactor is summed once, in the
+    order a single evaluation would sum it, so every value is the same
+    double however many momenta share the prefix.
     """
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
-    q = p * R
     # |G((s-n-ipR)/2)|^2 enters as 2 Re log G: alone it overflows from s ~ 200
-    lpref = (log_scale + math.log(R / 2.0)
-             + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
-                      - math.log(sig) - math.lgamma(n + 1))
-             - 2.0 * math.lgamma(sig) + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real)
-    f32 = hyper_3f2_terminating(n, 2.0 * s - n + 1.0, 0.5 * (sig - 1j * q), sig + 1.0, sig)
-    return math.exp(lpref) * f32
+    head = (log_scale + math.log(R / 2.0)
+            + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
+                     - math.log(sig) - math.lgamma(n + 1))
+            - 2.0 * math.lgamma(sig))
+
+    def closed(p: float) -> complex:
+        q = p * R
+        lpref = head + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real
+        f32 = hyper_3f2_terminating(n, 2.0 * s - n + 1.0, 0.5 * (sig - 1j * q), sig + 1.0, sig)
+        return math.exp(lpref) * f32
+
+    return closed
 
 
 _CALIBRATION_PROBES = (0.45, 0.85, 1.35)  # dimensionless q = p R
@@ -224,21 +247,29 @@ def momentum_calibration(state: BoundStateLabel) -> complex:
     R = state.params.R
     sampler = bound_sampler(state)
     best_q, best_mag = None, -1.0
+    closed = _momentum_closed_3f2(state)
     for q in _CALIBRATION_PROBES:
-        mag = abs(_momentum_closed_3f2(state, q / R))
+        mag = abs(closed(q / R))
         if mag > best_mag:
             best_q, best_mag = q, mag
     exact = shapiro_forward_1d(sampler, best_q / R, R, _CALIBRATION_SPEC)
-    return exact / _momentum_closed_3f2(state, best_q / R)
+    return exact / closed(best_q / R)
 
 
-def psi_momentum(state: BoundStateLabel, p: float) -> complex:
+def psi_momentum(state: BoundStateLabel, p):
     """Momentum-space wavefunction sqrt(R/2pi) * FT of psi_bound: the closed
     3F2 form with (-1)^n / sqrt(2R) in its prefactor.  Real for even n,
-    imaginary for odd."""
+    imaginary for odd.  A scalar p gives a complex scalar; an array of
+    momenta gives a complex array of its shape, each value the scalar
+    call's bit for bit (the p-independent prefix is formed once)."""
     state._require_normalizable()
-    log_scale = -0.5 * math.log(2.0 * state.params.R)
-    return (-1.0) ** state.n * _momentum_closed_3f2(state, p, log_scale)
+    sign = (-1.0) ** state.n
+    closed = _momentum_closed_3f2(state, -0.5 * math.log(2.0 * state.params.R))
+    if np.ndim(p) == 0:
+        return sign * closed(float(p))
+    ps = np.asarray(p, dtype=float)
+    values = [sign * closed(v) for v in ps.ravel().tolist()]
+    return np.array(values, dtype=complex).reshape(ps.shape)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,20 @@ and two independent oracles.
 
   a uniform-step trapezoid rule, which converges exponentially for analytic,
   exponentially decaying integrands (Trefethen & Weideman, SIAM Review 56
-  (2014) 385).  The step is halved once over the whole grid; any
+  (2014) 385).  The step comes from a proven bound on W's decay in q
+  (``_spectral_step``).  It is halved once over the whole grid; any
   disagreement raises PrecisionLossError rather than being patched.
+
+  The grid is sized by the state, not by the axis.  Past a horizon |chi_h|
+  the envelope |psi(u)| <= a e^{-sigma |u|} bounds the whole row,
+
+      |W(chi, q)| <= (R / 2 pi) a^2 e^{-2 sigma |chi|} (4 |chi| + 2 / sigma),
+
+  below the truncation budget, a tenth of abs_tol, so those rows are
+  written as 0, which is certified, and cost nothing (``_horizon``).  T and
+  the nodes follow the largest |chi| within the horizon, so a chi axis to
+  1e9 costs what its first rows do; ``WignerGrid.rows_past_horizon``
+  counts the zero rows.
 
 * ``wigner_quadrature_grid`` integrates the defining correlation integral
 
@@ -82,7 +94,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
-from .oscillator import BoundStateLabel, OscillatorParams, bound_sampler, psi_bound, psi_momentum
+from .oscillator import (BoundStateLabel, OscillatorParams, _bound_log_prefactor, bound_sampler,
+                         psi_bound, psi_momentum)
 from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import _pochhammer, laguerre, log_gamma
@@ -124,6 +137,7 @@ class WignerGrid:
     state: BoundStateLabel
     fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
+    rows_past_horizon: int = 0      # rows the engine wrote as 0 (``_horizon``)
 
     def __post_init__(self):
         chi = np.asarray(self.chi_axis, dtype=float)
@@ -347,17 +361,113 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     return values
 
 
-def _spectral_step(q_max: float, sigma: float, spec: QuadratureSpec) -> float:
-    """Trapezoid step of the engine: 2 pi / (q_max + guard).
+def _momentum_decay(state: BoundStateLabel):
+    """log B(q), a bound on log |W(chi, q)| for every chi, as a function of
+    q = p R >= 0 (numpy arrays allowed):
 
-    Step h aliases W(q) onto W(q + 2 pi m / h), so the guard is the
-    wavenumber distance past q_max at which W has decayed below the
-    tolerance.  |psi~|^2 behaves like q^(sigma - 1) exp(-pi q / 2), hence a
-    tolerance term, a fixed margin and a depth term sigma log(1 + sigma).
+        log B(q) = log C0 + s log(1 + q^2 / s^2) - 2 q atan(q / s),
+        C0 = (R / 2 pi) N^2 4^sigma S_n^2 * 2 sqrt(pi) Gamma(sigma) / Gamma(sigma + 1/2),
+
+    with s = sigma + n, N the normalisation of psi_n = N (2 sech u)^sigma
+    C_n^alpha(tanh u), alpha = sigma + 1/2, and S_n the sum of the absolute
+    monomial coefficients of C_n^alpha.  For n = 0, C0 = R / pi.  The
+    derivation is in ``_spectral_step``.
     """
-    guard = ((2.0 / math.pi) * math.log(1.0 / spec.abs_tol) + 8.0
-             + (2.0 / math.pi) * sigma * math.log1p(sigma))
-    return 2.0 * math.pi / (q_max + guard)
+    n, sig, R = state.n, state.sigma, state.params.R
+    s = sig + n
+    alpha = sig + 0.5
+    # C_n^alpha(z) = sum_k (-1)^k Gamma(n - k + alpha) / (Gamma(alpha) k! (n - 2k)!) (2z)^(n - 2k)
+    logs = [math.lgamma(n - k + alpha) - math.lgamma(alpha) - math.lgamma(k + 1)
+            - math.lgamma(n - 2 * k + 1) + (n - 2 * k) * math.log(2.0) for k in range(n // 2 + 1)]
+    top = max(logs)
+    log_sn = top + math.log(sum(math.exp(v - top) for v in logs))
+    log_c0 = (math.log(R / (2.0 * math.pi)) + 2.0 * _bound_log_prefactor(state)
+              + sig * math.log(4.0) + 2.0 * log_sn
+              + math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(sig) - math.lgamma(alpha))
+
+    def log_bound(q):
+        return log_c0 + s * np.log1p((q / s) ** 2) - 2.0 * q * np.arctan(q / s)
+
+    return log_bound
+
+
+def _spectral_step(q_max: float, state: BoundStateLabel, spec: QuadratureSpec) -> float:
+    """Trapezoid step of the engine: h = 2 pi / (q_max + g).
+
+    Step h aliases W(q) onto W(q + 2 pi m / h): by Poisson summation the
+    step-h sum at |q| <= q_max is W(q) plus sum_{m != 0} W(q + 2 pi m / h),
+    and every alias sits at least g + (|m| - 1) 2 pi / h past the origin.
+    The guard g comes from a bound on W's decay in q, proven as follows.
+
+    psi_n(u) = N (2 sech u)^sigma C_n^alpha(tanh u) is analytic for
+    |Im u| < pi / 2, so corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2)
+    is analytic for |Im tau| < pi and decays along every horizontal line.
+    For q >= 0 shift the contour of W = (R / 2 pi) int corr e^{-i q tau}
+    dtau to Im tau = -theta, 0 <= theta < pi: then |e^{-i q tau}| = e^{-q theta}
+    and each profile argument has |Im u| = y = theta / 2.  With u = x + i y,
+
+        |sech(u)| <= sech x / cos y,   |tanh(u)| <= 1 / cos y
+
+    (|cosh u|^2 = cosh^2 x - sin^2 y >= cosh^2 x cos^2 y and
+    |sinh u|^2 = cosh^2 x - cos^2 y <= cosh^2 x), and since 1 / cos y >= 1,
+    |C_n^alpha(z)| <= S_n |z|^n with S_n the sum of |monomial coefficients|.
+    So |psi(u)| <= N 2^sigma S_n sech^sigma(x) cos^{-s}(y), s = sigma + n,
+    and by Cauchy-Schwarz, for every chi,
+
+        int sech^sigma(chi - t/2) sech^sigma(chi + t/2) dt
+            <= 2 int sech^{2 sigma} v dv = 2 sqrt(pi) Gamma(sigma) / Gamma(sigma + 1/2),
+
+    giving |W(chi, q)| <= C0 e^{-q theta} cos^{-2s}(theta / 2) (C0 in
+    ``_momentum_decay``).  The minimum over theta, at tan(theta / 2) = q / s,
+    is B(q) = C0 (1 + q^2 / s^2)^s e^{-2 q atan(q / s)}.  W is even in q, so
+    B(|q|) bounds it on the whole line.
+
+    d log B / dq = -theta(q) = -2 atan(q / s) falls with q, so past g each
+    further 2 pi / h >= g shrinks B by at least e^{-g theta(g)}, and the
+    aliases sum to at most 2 B(g) / (1 - e^{-g theta(g)}) on both sides.  g
+    is the root of that bound = abs_tol / 4, by bisection (the left side
+    falls monotonically in g); truncation adds a tenth of abs_tol.  The
+    certificate stays step halving: this step only makes it pass with room.
+    """
+    log_bound = _momentum_decay(state)
+    s = state.sigma + state.n
+    target = math.log(0.25 * spec.abs_tol)
+
+    def excess(g):
+        # log of the aliases' bound 2 B(g) / (1 - e^{-g theta(g)}) over the target
+        decay = 2.0 * g * math.atan(g / s)
+        return float(log_bound(g)) + math.log(2.0) - math.log(-math.expm1(-decay)) - target
+
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return 2.0 * math.pi / (q_max + hi)
+
+
+def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -> slice:
+    """The run of rows of ``chi`` the engine evaluates: every row outside it
+    has |W| within the truncation budget, a tenth of ``spec.abs_tol``, so
+    it is written as 0.
+
+    With |f(u)| <= a e^{-r |u|}, |corr(chi, tau)| <= a^2 e^{-2 r max(|chi|, |tau| / 2)},
+    whose integral over tau is a^2 e^{-2 r |chi|} (4 |chi| + 2 / r), so
+
+        |W(chi, q)| <= (R / 2 pi) a^2 e^{-2 r |chi|} (4 |chi| + 2 / r)
+
+    for every q.  The bound falls monotonically in |chi| (its log has slope
+    -2 r + 2 r / (2 r |chi| + 1) <= 0), so on an increasing axis the rows
+    above the budget are one contiguous run; the slice runs from the first
+    to the last of them.
+    """
+    rate = f.envelope.rate
+    dist = np.abs(chi)
+    log_w = (math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
+             - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate))
+    inside = np.flatnonzero(log_w > math.log(0.1 * spec.abs_tol))
+    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
 
 def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
@@ -366,24 +476,29 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     discrepancy).
 
     The correlation of a real profile is even in tau, so each grid is one
-    half-line trapezoid sum.  T (from the largest |chi|) and the step h both
-    read the sampler's envelope, whose rate is sigma; they, the nodes and
-    both cos(tau q) matrices are built once per grid; the chi rows
-    then go through in blocks of about _BLOCK_ELEMENTS elements per
-    temporary, written into one output array, so the peak memory is the
-    grid's values plus a fixed budget.  The contraction stays ``einsum``:
-    it sums each output element over the nodes in the same order however
-    many rows a block holds, so the bytes do not depend on the block size,
-    and unlike a BLAS product they do not depend on the thread count either.
-    The midpoint nodes turn the step-h sum into the step-h/2 one, whose
-    values are returned; a discrepancy above max(10 abs_tol, 1e-9 |W|)
-    anywhere raises PrecisionLossError naming the first worst point in
-    row-major order.
+    half-line trapezoid sum.  Rows past the state's horizon (``_horizon``)
+    are 0 and cost nothing; T comes from the largest |chi| of the rows
+    within it, and the step h from W's momentum decay (``_spectral_step``).
+    T, h, the nodes and both cos(tau q) matrices are built once per grid;
+    the rows within the horizon then go through in blocks of about
+    _BLOCK_ELEMENTS elements per temporary, written into one output array,
+    so the peak memory is the grid's values plus a fixed budget.  The
+    contraction stays ``einsum``: it sums each output element over the
+    nodes in the same order however many rows a block holds, so the bytes
+    do not depend on the block size, and unlike a BLAS product they do not
+    depend on the thread count either.  The midpoint nodes turn the step-h
+    sum into the step-h/2 one, whose values are returned; a discrepancy
+    above max(10 abs_tol, 1e-9 |W|) anywhere raises PrecisionLossError
+    naming the first worst point in row-major order.
     """
     f = bound_sampler(state)
     R = state.params.R
-    T = _pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = _spectral_step(float(np.max(np.abs(qs))), f.envelope.rate, spec)
+    values = np.zeros((len(chi), len(qs)))
+    run = _horizon(f, chi, R, spec)
+    if run.start == run.stop:
+        return values, 0.0
+    T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
+    h = _spectral_step(float(np.max(np.abs(qs))), state, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
     # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
     coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, qs))) for taus, weights in
@@ -395,14 +510,13 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
         corr = f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0)
         return np.einsum("ik,kj->ij", corr * weights, cos)
 
-    values = np.empty((len(chi), len(qs)))
     step = max(1, _BLOCK_ELEMENTS // max(len(qs), len(k)))
     worst, worst_at, discrepancy = -1.0, (0, 0, 0.0, 0.0), 0.0
-    for start in range(0, len(chi), step):
-        rows = chi[start:start + step]
+    for start in range(run.start, run.stop, step):
+        rows = chi[start:min(start + step, run.stop)]
         coarse = scale * half_line_sum(rows, coarse_rule)
         fine = 0.5 * (coarse + scale * half_line_sum(rows, mid_rule))
-        values[start:start + step] = fine
+        values[start:start + len(rows)] = fine
         err = np.abs(fine - coarse)
         bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
         ratio = err / bound
@@ -424,8 +538,11 @@ def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis) -> WignerGrid:
     disagrees anywhere."""
     chi = np.asarray(chi_axis, dtype=float)
     qs = np.asarray(pR_axis, dtype=float)
-    values, discrepancy = _spectral_values(state, chi, qs, QuadratureSpec())
-    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy)
+    spec = QuadratureSpec()
+    values, discrepancy = _spectral_values(state, chi, qs, spec)
+    run = _horizon(bound_sampler(state), chi, state.params.R, spec)
+    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy,
+                      rows_past_horizon=len(chi) - (run.stop - run.start))
 
 
 def _axis_fold_factor(axis: np.ndarray, what: str) -> float:
@@ -469,8 +586,9 @@ def exact_marginals(state: BoundStateLabel, chi_axis, pR_axis):
     """
     R = state.params.R
     position = psi_bound(state, np.asarray(chi_axis, dtype=float)) ** 2
-    momentum = np.array([abs(psi_momentum(state, q / R)) ** 2
-                         for q in np.asarray(pR_axis, dtype=float)])
+    psit = psi_momentum(state, np.asarray(pR_axis, dtype=float) / R)
+    # Python's abs and ** on each value: numpy's differ in the last bit
+    momentum = np.array([abs(z) ** 2 for z in psit.tolist()])
     return position, momentum
 
 

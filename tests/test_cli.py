@@ -423,6 +423,21 @@ class TestWignerCommand:
         assert rc == 3
         assert "not certified" in capsys.readouterr().err
 
+    def test_axis_far_past_the_horizon(self, tmp_path):
+        # rows past the state's horizon are written as 0 without evaluating
+        # the correlation, so a chi axis to 1e9 costs what its first row does
+        out = tmp_path / "out"
+        assert main(["wigner", "--s", "4", "--n", "0", "--grid", "0:1e9:5,0:2:5",
+                     "--out", str(out)]) == 0
+        _, (chi, _, w) = read_csv(out / "wigner_n0.csv")
+        assert (w[chi > 0.0] == 0.0).all() and (w[chi == 0.0] > 0.0).all()
+
+    def test_exact_depth_label(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:3,0:4:3",
+                     "--out", str(out)]) == 0
+        assert (out / "wigner_n0.csv").read_text().splitlines()[1] == "# n=0 s=4 R=1"
+
     def test_deep_well_runs(self, tmp_path):
         # s = 600: the envelope amplitude N 4^(s-n) C_n(1) alone overflows a double
         out = tmp_path / "out"

@@ -57,3 +57,19 @@ def test_marginals_peak(traced):
 def test_grid_csv_adds_less_than_the_values(traced):
     nbytes, peaks = traced
     assert peaks["csv"] < 1.0 * nbytes
+
+
+def test_engine_peak_follows_the_state_not_the_axis():
+    # a 16 x 1024 grid on chi <= 1500 evaluates only the rows within the
+    # state's horizon (chi ~ 4 for s = 4, n = 0), so it peaks like chi <= 3
+    state = BoundStateLabel(0, OscillatorParams.from_depth(4.0))
+    qs = np.linspace(0.0, 8.0, 1024)
+    peaks = {}
+    for top in (3.0, 1500.0):
+        tracemalloc.start()
+        try:
+            wigner_grid(state, np.linspace(0.0, top, 16), qs)
+            peaks[top] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1500.0] <= peaks[3.0] + 64 * 1024

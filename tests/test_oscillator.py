@@ -50,6 +50,17 @@ class TestDepthParam:
         params = OscillatorParams.from_depth(7.3, mu=2.0, R=0.5)
         assert params.s == pytest.approx(7.3, rel=1e-13)
 
+    @pytest.mark.parametrize("s, mu, R", [(4.0, 1.0, 1.0), (4, 1.0, 1.0), (7.3, 2.0, 0.5),
+                                          (30.0, 1.0, 1.3), (2000.0, 1.0, 1.0)])
+    def test_from_depth_keeps_the_depth_exactly(self, s, mu, R):
+        params = OscillatorParams.from_depth(s, mu=mu, R=R)
+        assert params.s == s and BoundStateLabel(0, params).sigma == s
+        assert params == OscillatorParams.from_depth(s, mu=mu, R=R)
+        # equal parameter sets have equal depths: s takes part in ==
+        derived = OscillatorParams(params.mu, params.omega, params.R)
+        assert (derived == params) == (derived.s == params.s)
+        assert derived.s == pytest.approx(s, rel=1e-14)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             depth_param(-1.0, 1.0, 1.0)
@@ -186,6 +197,20 @@ class TestMomentumRepresentation:
         expected = math.sqrt(1.0 / (2.0 * math.pi)) * PSI0_S4_AT_0 * (4.0 / 3.0)
         assert psi_momentum(state, 0.0).real == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(0.5563, abs=5e-5)
+
+    @pytest.mark.parametrize("s, R", [(4.0, 1.0), (30.6, 1.3)])
+    def test_array_of_momenta_equals_scalar_calls(self, s, R):
+        params = OscillatorParams.from_depth(s, R=R)
+        ps = np.linspace(-3.0, 12.0, 61) / R
+        for n in range(4):
+            state = BoundStateLabel(n, params)
+            values = psi_momentum(state, ps)
+            assert values.shape == ps.shape and values.dtype == complex
+            scalars = [psi_momentum(state, p) for p in ps.tolist()]
+            assert all(type(v) is complex for v in scalars)
+            assert values.tobytes() == np.array(scalars).tobytes()
+            # any shape: a 2-D block of the momenta gives the same block of values
+            assert psi_momentum(state, ps[:60].reshape(5, 12)).tobytes() == values[:60].tobytes()
 
     def test_reflection_modulus(self, s4_states):
         for state in s4_states:

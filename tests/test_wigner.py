@@ -371,7 +371,7 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
     f = bound_sampler(state)
     R = state.params.R
     T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = wigner._spectral_step(float(np.max(np.abs(qs))), state.sigma, spec)
+    h = wigner._spectral_step(float(np.max(np.abs(qs))), state, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
 
     def half_line_sum(taus, weights):
@@ -473,6 +473,71 @@ class TestSpectralEngine:
         monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 1.5)
         with pytest.raises(PrecisionLossError, match=r"chi=.*pR="):
             wigner_grid(s4_states[1], chi, qs)
+
+
+def asymptotic_guard_nodes(state, chi, qs, spec=QuadratureSpec()):
+    """Node count under the step guard the proven bound replaced,
+    (2/pi) log(1/abs_tol) + 8 + (2/pi) sigma log(1 + sigma), with T at the
+    largest |chi|: the new count must never exceed it."""
+    f = bound_sampler(state)
+    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), state.params.R, spec)
+    sig = state.sigma
+    guard = (2.0 / math.pi) * math.log(1.0 / spec.abs_tol) + 8.0 + (2.0 / math.pi) * sig * math.log1p(sig)
+    return int(math.ceil(T * (float(np.max(np.abs(qs))) + guard) / (2.0 * math.pi))) + 1
+
+
+class TestProvenStep:
+    @pytest.mark.parametrize("s", [4.0, 4.2, 8.0, 30.0, 30.6, 120.0, 480.0, 2000.0])
+    def test_depth_ladder_certifies_with_room(self, s):
+        # the figure-1 axes of each depth: the step-halving discrepancy stays
+        # within a tenth of its bound, on no more nodes than the old guard took
+        params = OscillatorParams.from_depth(s)
+        chi, qs = figure1_axes(s, 33)
+        for n in range(4):
+            state = BoundStateLabel(n, params)
+            _, err, bound, nodes = whole_grid_engine(state, chi, qs)
+            assert float(np.max(err / bound)) <= 0.1, (s, n)
+            assert nodes <= asymptotic_guard_nodes(state, chi, qs), (s, n)
+
+    @pytest.mark.parametrize("s", [4.0, 30.0])
+    def test_bound_covers_the_oracle(self, s):
+        # B(q) >= max_chi |W(chi, q)| from q = 0 (where n = 0 attains it:
+        # W(0, 0) = R / pi) to past the guard g, the root for q_max = 0
+        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+        params = OscillatorParams.from_depth(s, R=1.3)
+        R = params.R
+        chi = np.linspace(0.0, 6.0 / math.sqrt(s), 25)
+        for n in range(4):
+            state = BoundStateLabel(n, params)
+            g = 2.0 * math.pi / wigner._spectral_step(0.0, state, QuadratureSpec())
+            qs = np.concatenate([np.linspace(0.0, g, 9), g * np.array([1.1, 1.25])])
+            f = bound_sampler(state)
+            peak = np.max(np.abs(wigner_quadrature_grid(f, f, chi, qs / R, R, spec)), axis=0)
+            slack = R / (2.0 * math.pi) * np.maximum(spec.abs_tol, spec.rel_tol * peak)
+            bound = np.exp(wigner._momentum_decay(state)(qs))
+            assert np.all(peak <= bound + slack), (n, qs[peak > bound + slack])
+            if n == 0:
+                assert bound[0] == pytest.approx(R / math.pi, rel=1e-13)
+
+
+class TestHorizon:
+    def test_rows_past_the_horizon_are_zero_and_certified(self, s4_states):
+        chi, qs = np.linspace(0.0, 8.0, 33), np.linspace(0.0, 12.0, 9)
+        spec = QuadratureSpec()
+        for state in s4_states[:2]:  # sigma = 4 and 3: horizons near chi = 4 and 6
+            grid = wigner_grid(state, chi, qs)
+            past = len(chi) - grid.rows_past_horizon
+            assert 0 < past < len(chi)
+            assert not grid.values[past:].any() and grid.values[past - 1].all()
+            f = bound_sampler(state)
+            oracle = wigner_quadrature_grid(f, f, chi[past:], qs, 1.0, TIGHT).real
+            assert np.max(np.abs(oracle)) <= 0.1 * spec.abs_tol
+        assert wigner_grid(s4_states[3], chi, qs).rows_past_horizon == 0
+
+    def test_axis_far_past_the_horizon(self, s4_states):
+        grid = wigner_grid(s4_states[0], np.linspace(0.0, 1e9, 5), np.linspace(0.0, 2.0, 5))
+        assert grid.rows_past_horizon == 4
+        assert grid.values[0].all() and not grid.values[1:].any()
 
 
 class TestGridRoutesMatchPointRoutes:
