@@ -1,5 +1,15 @@
 """Exception taxonomy and the CLI exit-code mapping."""
 
+__all__ = [
+    "CurvedWignerError",
+    "ConfigError",
+    "DomainError",
+    "PoleError",
+    "OffShellError",
+    "NonconvergenceError",
+    "PrecisionLossError",
+]
+
 
 class CurvedWignerError(Exception):
     """Base class for all library errors."""

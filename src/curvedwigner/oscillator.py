@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import shapiro_forward_1d
 from .quadrature import QuadratureSpec
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
@@ -243,6 +242,8 @@ def momentum_calibration(state: BoundStateLabel) -> complex:
     It comes out p-independent and equal to the (-1)^n / sqrt(2 R) that
     ``psi_momentum`` carries; verification reports the measured values.
     """
+    from .geometry import shapiro_forward_1d  # at call time: the grid commands never load geometry
+
     state._require_normalizable()
     R = state.params.R
     sampler = bound_sampler(state)

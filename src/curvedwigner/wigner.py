@@ -24,7 +24,11 @@ and two independent oracles.
   written as 0, which is certified, and cost nothing (``_horizon``).  T and
   the nodes follow the largest |chi| within the horizon, so a chi axis to
   1e9 costs what its first rows do; ``WignerGrid.rows_past_horizon``
-  counts the zero rows.
+  counts the zero rows.  The columns are cut the same way: past the |q|
+  where the bound B(|q|) >= |W(chi, q)| for every chi (``_momentum_decay``)
+  falls below the budget they are 0, h follows the largest |q| before that
+  cut, so a pR axis to 1e9 costs what its first columns do, and
+  ``WignerGrid.columns_past_horizon`` counts them.
 
 * ``wigner_quadrature_grid`` integrates the defining correlation integral
 
@@ -101,9 +105,6 @@ from .sampling import DecayEnvelope, FieldSampler
 from .specfun import _pochhammer, laguerre, log_gamma
 
 __all__ = [
-    "FieldSampler",
-    "DecayEnvelope",
-    "QuadratureSpec",
     "WignerGrid",
     "wigner_grid",
     "wigner_quadrature_grid",
@@ -138,6 +139,7 @@ class WignerGrid:
     fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
     rows_past_horizon: int = 0      # rows the engine wrote as 0 (``_horizon``)
+    columns_past_horizon: int = 0   # pR columns the engine wrote as 0 (``_momentum_decay``)
 
     def __post_init__(self):
         chi = np.asarray(self.chi_axis, dtype=float)
@@ -447,6 +449,16 @@ def _spectral_step(q_max: float, state: BoundStateLabel, spec: QuadratureSpec) -
     return 2.0 * math.pi / (q_max + hi)
 
 
+def _above_budget(log_bound: np.ndarray, spec: QuadratureSpec) -> slice:
+    """The run of axis entries from the first to the last whose bound on
+    log |W| exceeds the truncation budget, log(0.1 ``spec.abs_tol``); every
+    entry outside it is written as 0.  Both bounds the engine cuts by fall
+    monotonically in the magnitude of the axis entry, so on an increasing
+    axis the entries above the budget are one contiguous run."""
+    inside = np.flatnonzero(log_bound > math.log(0.1 * spec.abs_tol))
+    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+
+
 def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -> slice:
     """The run of rows of ``chi`` the engine evaluates: every row outside it
     has |W| within the truncation budget, a tenth of ``spec.abs_tol``, so
@@ -458,50 +470,51 @@ def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -
         |W(chi, q)| <= (R / 2 pi) a^2 e^{-2 r |chi|} (4 |chi| + 2 / r)
 
     for every q.  The bound falls monotonically in |chi| (its log has slope
-    -2 r + 2 r / (2 r |chi| + 1) <= 0), so on an increasing axis the rows
-    above the budget are one contiguous run; the slice runs from the first
-    to the last of them.
+    -2 r + 2 r / (2 r |chi| + 1) <= 0), as ``_above_budget`` needs.
     """
     rate = f.envelope.rate
     dist = np.abs(chi)
-    log_w = (math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
-             - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate))
-    inside = np.flatnonzero(log_w > math.log(0.1 * spec.abs_tol))
-    return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
+    return _above_budget(math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
+                         - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate), spec)
 
 
-def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
-                     spec: QuadratureSpec):
-    """Certified engine grid; returns (values, largest step-halving
-    discrepancy).
+def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
+                   spec: QuadratureSpec) -> WignerGrid:
+    """Certified engine grid of ``state`` on chi x qs.
 
     The correlation of a real profile is even in tau, so each grid is one
     half-line trapezoid sum.  Rows past the state's horizon (``_horizon``)
-    are 0 and cost nothing; T comes from the largest |chi| of the rows
-    within it, and the step h from W's momentum decay (``_spectral_step``).
-    T, h, the nodes and both cos(tau q) matrices are built once per grid;
-    the rows within the horizon then go through in blocks of about
-    _BLOCK_ELEMENTS elements per temporary, written into one output array,
-    so the peak memory is the grid's values plus a fixed budget.  The
-    contraction stays ``einsum``: it sums each output element over the
-    nodes in the same order however many rows a block holds, so the bytes
-    do not depend on the block size, and unlike a BLAS product they do not
-    depend on the thread count either.  The midpoint nodes turn the step-h
-    sum into the step-h/2 one, whose values are returned; a discrepancy
-    above max(10 abs_tol, 1e-9 |W|) anywhere raises PrecisionLossError
-    naming the first worst point in row-major order.
+    and columns past its momentum cut, where W's bound B(|q|)
+    (``_momentum_decay``) is within the truncation budget, are 0 and cost
+    nothing; T comes from the largest |chi| of the rows evaluated, and the
+    step h from W's momentum decay at the largest |q| of the columns
+    evaluated (``_spectral_step``).  T, h, the nodes and both cos(tau q)
+    matrices are built once per grid; the rows evaluated then go through in
+    blocks of about _BLOCK_ELEMENTS elements per temporary, written into one
+    output array, so the peak memory is the grid's values plus a fixed
+    budget.  The contraction stays ``einsum``: it sums each output element
+    over the nodes in the same order however many rows a block holds, so the
+    bytes do not depend on the block size, and unlike a BLAS product they do
+    not depend on the thread count either.  The midpoint nodes turn the
+    step-h sum into the step-h/2 one, whose values are returned; a
+    discrepancy above max(10 abs_tol, 1e-9 |W|) anywhere raises
+    PrecisionLossError naming the first worst point in row-major order.
     """
     f = bound_sampler(state)
     R = state.params.R
     values = np.zeros((len(chi), len(qs)))
     run = _horizon(f, chi, R, spec)
-    if run.start == run.stop:
-        return values, 0.0
+    cols = _above_budget(_momentum_decay(state)(np.abs(qs)), spec)
+    past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
+                columns_past_horizon=len(qs) - (cols.stop - cols.start))
+    if run.start == run.stop or cols.start == cols.stop:
+        return WignerGrid(chi, qs, values, state, **past)
+    q_in = qs[cols]
     T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
-    h = _spectral_step(float(np.max(np.abs(qs))), state, spec)
+    h = _spectral_step(float(np.max(np.abs(q_in))), state, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
     # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
-    coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, qs))) for taus, weights in
+    coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, q_in))) for taus, weights in
                              ((k * h, np.where(k == 0, 1.0, 2.0)), ((k[:-1] + 0.5) * h, 2.0))]
     scale = R * h / (2.0 * math.pi)
 
@@ -510,39 +523,34 @@ def _spectral_values(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
         corr = f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0)
         return np.einsum("ik,kj->ij", corr * weights, cos)
 
-    step = max(1, _BLOCK_ELEMENTS // max(len(qs), len(k)))
+    step = max(1, _BLOCK_ELEMENTS // max(len(q_in), len(k)))
     worst, worst_at, discrepancy = -1.0, (0, 0, 0.0, 0.0), 0.0
     for start in range(run.start, run.stop, step):
         rows = chi[start:min(start + step, run.stop)]
         coarse = scale * half_line_sum(rows, coarse_rule)
         fine = 0.5 * (coarse + scale * half_line_sum(rows, mid_rule))
-        values[start:start + len(rows)] = fine
+        values[start:start + len(rows), cols] = fine
         err = np.abs(fine - coarse)
         bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
         ratio = err / bound
         i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
         if ratio[i, j] > worst:
-            worst, worst_at = ratio[i, j], (start + i, j, err[i, j], bound[i, j])
+            worst, worst_at = ratio[i, j], (start + i, cols.start + j, err[i, j], bound[i, j])
         discrepancy = max(discrepancy, float(err.max()))
     i, j, err_ij, bound_ij = worst_at
     if err_ij > bound_ij:
         raise PrecisionLossError(
             f"spectral grid not certified at chi={chi[i]:.6g}, pR={qs[j]:.6g}: "
             f"step-halving discrepancy {err_ij:.2e} exceeds {bound_ij:.2e}")
-    return values, discrepancy
+    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy, **past)
 
 
 def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis) -> WignerGrid:
     """W(psi_n | chi, p) on the product grid chi_axis x pR_axis from the
     certified spectral engine; PrecisionLossError when the step halving
     disagrees anywhere."""
-    chi = np.asarray(chi_axis, dtype=float)
-    qs = np.asarray(pR_axis, dtype=float)
-    spec = QuadratureSpec()
-    values, discrepancy = _spectral_values(state, chi, qs, spec)
-    run = _horizon(bound_sampler(state), chi, state.params.R, spec)
-    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy,
-                      rows_past_horizon=len(chi) - (run.stop - run.start))
+    return _spectral_grid(state, np.asarray(chi_axis, dtype=float),
+                          np.asarray(pR_axis, dtype=float), QuadratureSpec())
 
 
 def _axis_fold_factor(axis: np.ndarray, what: str) -> float:

@@ -417,7 +417,7 @@ class TestWignerCommand:
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 1.5)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
         rc = main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:12,0:4:10",
                    "--out", str(tmp_path)])
         assert rc == 3
@@ -431,6 +431,15 @@ class TestWignerCommand:
                      "--out", str(out)]) == 0
         _, (chi, _, w) = read_csv(out / "wigner_n0.csv")
         assert (w[chi > 0.0] == 0.0).all() and (w[chi == 0.0] > 0.0).all()
+
+    def test_momentum_axis_far_past_the_cut(self, tmp_path):
+        # columns past the state's momentum cut are written as 0 without
+        # evaluating them, so a pR axis to 1e9 costs what its first column does
+        out = tmp_path / "out"
+        assert main(["wigner", "--s", "4", "--n", "0", "--grid", "0:3:5,0:1e9:5",
+                     "--out", str(out)]) == 0
+        _, (_, q, w) = read_csv(out / "wigner_n0.csv")
+        assert (w[q > 0.0] == 0.0).all() and (w[q == 0.0] > 0.0).all()
 
     def test_exact_depth_label(self, tmp_path):
         out = tmp_path / "out"

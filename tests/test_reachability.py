@@ -3,14 +3,21 @@
 The five commands run on small inputs with a call-event tracer installed;
 every function, method and property named through a module's ``__all__``
 must have been called, apart from the few listed below with the reason each
-one stays.
+one stays.  Each public name has one home, the one module whose ``__all__``
+names it, and ``import curvedwigner.cli`` loads only the modules the grid
+commands run.
 """
 
+import collections
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import curvedwigner
 from curvedwigner.cli import main
@@ -28,14 +35,17 @@ def _code(member):
     return getattr(member, "__code__", None)
 
 
+def submodules():
+    return [importlib.import_module(info.name) for info in
+            pkgutil.iter_modules(curvedwigner.__path__, "curvedwigner.")]
+
+
 def public_functions():
     """{qualified name: code object} of every function named in an __all__
     list, and of the public methods and properties of every class named
     there."""
     found = {}
-    modules = [curvedwigner] + [importlib.import_module(info.name) for info in
-                                pkgutil.iter_modules(curvedwigner.__path__, "curvedwigner.")]
-    for module in modules:
+    for module in submodules():
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
             if inspect.isfunction(obj):
@@ -76,3 +86,29 @@ def test_every_public_function_is_reached(tmp_path):
     assert set(KEPT_UNREACHED) <= set(functions)
     unreached = sorted(name for name, code in functions.items() if code not in called)
     assert unreached == sorted(KEPT_UNREACHED)
+
+
+def test_every_public_name_has_one_home():
+    homes = collections.Counter(name for module in submodules()
+                                for name in getattr(module, "__all__", ()))
+    assert [name for name, count in homes.items() if count > 1] == []
+    assert not hasattr(curvedwigner, "__all__")
+
+
+def test_cli_loads_only_the_modules_it_runs():
+    # geometry and verify load only when verify runs, and the package binds
+    # no function or class of its own: each name is imported from its module
+    script = ("import inspect, json, sys\n"
+              "import curvedwigner.cli\n"
+              "package = sys.modules['curvedwigner']\n"
+              "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0] == 'curvedwigner'),\n"
+              "                  sorted(k for k, v in vars(package).items()\n"
+              "                         if inspect.isfunction(v) or inspect.isclass(v))]))\n")
+    src = str(Path(curvedwigner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    loaded, bound = json.loads(out.stdout)
+    assert loaded == ["curvedwigner"] + [f"curvedwigner.{m}" for m in (
+        "artifacts", "cli", "errors", "oscillator", "quadrature", "sampling", "specfun", "wigner")]
+    assert bound == []

@@ -399,14 +399,14 @@ class TestSpectralEngine:
         state = BoundStateLabel(n, OscillatorParams.from_depth(s))
         fine, err, _, nodes = whole_grid_engine(state, chi, qs)
         assert len(chi) >= 3 * rows_per_block(qs, nodes)
-        values, discrepancy = wigner._spectral_values(state, chi, qs, QuadratureSpec())
-        assert values.tobytes() == fine.tobytes()
-        assert discrepancy == float(err.max())
+        grid = wigner._spectral_grid(state, chi, qs, QuadratureSpec())
+        assert grid.values.tobytes() == fine.tobytes()
+        assert grid.step_discrepancy == float(err.max())
 
     @pytest.mark.parametrize("n", range(4))
     def test_uncertified_grid_names_the_whole_grid_worst_point(self, s4_states, monkeypatch, n):
         # the worst point sits near chi = 0, in a middle block of this axis
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 0.4)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 0.4)
         chi, qs = np.linspace(-8.0, 8.0, 601), np.linspace(0.0, 12.0, 401)
         _, err, bound, nodes = whole_grid_engine(s4_states[n], chi, qs)
         i, j = np.unravel_index(np.argmax(err / bound), err.shape)
@@ -462,15 +462,15 @@ class TestSpectralEngine:
     def test_records_step_discrepancy(self, s4_states):
         chi, qs = figure1_axes(4.0, 17)
         grid = wigner_grid(s4_states[0], chi, qs)
-        assert grid.step_discrepancy == wigner._spectral_values(
-            s4_states[0], chi, qs, QuadratureSpec())[1]
+        assert grid.step_discrepancy == wigner._spectral_grid(
+            s4_states[0], chi, qs, QuadratureSpec()).step_discrepancy
         # certified: the halving check held everywhere, within max(10 abs_tol, ...)
-        _, discrepancy = wigner._spectral_values(s4_states[0], chi, qs, TIGHT)
+        discrepancy = wigner._spectral_grid(s4_states[0], chi, qs, TIGHT).step_discrepancy
         assert 0.0 <= discrepancy <= 10.0 * TIGHT.abs_tol
 
     def test_too_coarse_step_raises(self, s4_states, monkeypatch):
         chi, qs = figure1_axes(4.0, 17)
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, sigma, spec: 1.5)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
         with pytest.raises(PrecisionLossError, match=r"chi=.*pR="):
             wigner_grid(s4_states[1], chi, qs)
 
@@ -538,6 +538,34 @@ class TestHorizon:
         grid = wigner_grid(s4_states[0], np.linspace(0.0, 1e9, 5), np.linspace(0.0, 2.0, 5))
         assert grid.rows_past_horizon == 4
         assert grid.values[0].all() and not grid.values[1:].any()
+
+    def test_columns_past_the_momentum_cut_are_zero_and_certified(self, s4_states):
+        # the cut sits near pR = 14.2 (n = 0) and 15.0 (n = 1), on both sides of 0
+        chi, qs = np.linspace(0.0, 3.0, 7), np.linspace(-40.0, 40.0, 41)
+        spec = QuadratureSpec()
+        for state in s4_states[:2]:
+            grid = wigner_grid(state, chi, qs)
+            zero = ~grid.values.any(axis=0)
+            cut = wigner._momentum_decay(state)(np.abs(qs)) <= math.log(0.1 * spec.abs_tol)
+            assert np.array_equal(zero, cut) and np.array_equal(zero, np.abs(qs) > 14.0)
+            assert grid.columns_past_horizon == zero.sum()
+            f = bound_sampler(state)
+            oracle = wigner_quadrature_grid(f, f, chi, qs[zero], 1.0, TIGHT).real
+            assert np.max(np.abs(oracle)) <= 0.1 * spec.abs_tol
+        assert wigner_grid(s4_states[0], chi, qs[14:27]).columns_past_horizon == 0  # |pR| <= 12
+
+    def test_uncertified_point_names_its_pR_on_the_whole_axis(self, s4_states, monkeypatch):
+        # the columns below the cut are not evaluated; the message still
+        # names the worst point's pR, not its place among the evaluated ones
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
+        chi, qs = figure1_axes(4.0, 17)[0], np.linspace(-40.0, 12.0, 27)
+        evaluated = qs[qs > -15.0]
+        _, err, bound, _ = whole_grid_engine(s4_states[1], chi, evaluated)
+        i, j = np.unravel_index(np.argmax(err / bound), err.shape)
+        assert err[i, j] > bound[i, j]
+        with pytest.raises(PrecisionLossError) as exc:
+            wigner_grid(s4_states[1], chi, qs)
+        assert f"chi={chi[i]:.6g}, pR={evaluated[j]:.6g}: " in str(exc.value)
 
 
 class TestGridRoutesMatchPointRoutes:
