@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .wigner import WignerGrid, _mirror_index
+from .wigner import WignerGrid
 
 __all__ = [
     "format_value",
@@ -118,6 +118,19 @@ def read_csv(path):
         raise ConfigError(f"{path}: no header row")
     data = np.asarray(rows, dtype=float).reshape(-1, len(names))
     return names, [data[:, i] for i in range(len(names))]
+
+
+def _mirror_index(axis: np.ndarray):
+    """The axis mirrored about 0 when it starts at or above 0 (its 0 entry
+    kept once), with the index of each new entry into the old axis; an axis
+    that already spans negative values stands as it is (as the marginals'
+    fold treats it)."""
+    idx = np.arange(len(axis))
+    if axis[0] < -1e-12:
+        return axis, idx
+    drop = 1 if abs(axis[0]) <= 1e-12 else 0
+    return (np.concatenate([-axis[::-1], axis[drop:]]),
+            np.concatenate([idx[::-1], idx[drop:]]))
 
 
 def emit_pgm(grid: WignerGrid, path) -> Path:

@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CurvedWignerError, exit_code_for
+from .errors import ConfigError, CurvedWignerError, DomainError, exit_code_for
 from .oscillator import (
     BoundStateLabel,
     OscillatorParams,
+    at_threshold,
     bound_state_count,
     energy,
     psi_bound,
@@ -191,12 +192,13 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
-    count = bound_state_count(params)
-    if n >= count or BoundStateLabel(n, params).at_threshold:
+    try:
+        return BoundStateLabel(n, params)
+    except DomainError as exc:
         raise ConfigError(
             f"mode n={n} is outside the normalizable bound range for s={params.s:g}: it "
-            f"needs s - n > 0 ({count} level(s), the top one at threshold when s is whole)")
-    return BoundStateLabel(n, params)
+            f"needs s - n > 0 ({bound_state_count(params)} level(s), the top one at "
+            f"threshold when s is whole)") from exc
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -219,8 +221,7 @@ def run_eigen(config: RunConfig, echo=print) -> list[tuple[int, float]]:
         echo("(the omega = 0 well is empty: its only candidate level sits at "
              "threshold with a vanishing profile)")
     for n, e in rows:
-        marker = ("  (threshold level: zero-norm profile)"
-                  if BoundStateLabel(n, params).at_threshold else "")
+        marker = "  (threshold level: zero-norm profile)" if at_threshold(n, params) else ""
         echo(f"  n={n:3d}  E={e:.15g}{marker}")
     if config.out_dir is not None:
         out = _out_dir(config)

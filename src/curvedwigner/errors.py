@@ -41,7 +41,6 @@ class PrecisionLossError(NonconvergenceError):
 
 
 # CLI exit codes
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4

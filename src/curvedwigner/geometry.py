@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, OffShellError
 from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import FieldSampler
+from .specfun import gamma_abs_squared
 
 __all__ = [
     "AmbientVector",
@@ -227,8 +228,6 @@ def norm_factor(D: int, p: float, radius: float) -> float:
     N = 1 for D = 1 and, via |Gamma(1+iq)|^2 = q^2 |Gamma(iq)|^2, for D = 3.
     For D = 2 the weight is computed from the gammas and equals coth(pi p R).
     """
-    from .specfun import gamma_abs_squared
-
     if D not in _SUPPORTED_D:
         raise ValueError("D must be 1, 2 or 3")
     if p < 0:
@@ -330,6 +329,8 @@ def shapiro_covariance_check(D: int, mom: MomentumLabel, x: AmbientVector,
 
 def _transform_truncation(f: FieldSampler, prefactor: float, spec: QuadratureSpec) -> float:
     tail = 0.1 * spec.abs_tol / max(prefactor, 1e-300)
+    # tail_radius is not floored (a mass just above the bound gets
+    # excess / rate, far below 4), so the transform keeps its own floor
     return max(4.0, f.envelope.tail_radius(tail))
 
 

@@ -5,6 +5,10 @@ profile, scattering states, and the flat harmonic-oscillator reference used
 in contraction checks.  Bound wavefunctions are normalized with respect to
 dchi.
 
+A ``BoundStateLabel`` is always normalizable (sigma = s - n > 0), so no
+function taking one checks it; ``at_threshold(n, params)`` names the
+zero-norm level n = s of a whole depth, whose energy E0 ``eigen`` lists.
+
 The printed closed-form momentum profile is off by the constant
 (-1)^n / sqrt(2R); ``psi_momentum`` carries that constant in its prefactor,
 and ``momentum_calibration`` measures it against the numerical transform of
@@ -36,6 +40,7 @@ __all__ = [
     "ScatteringStateLabel",
     "depth_param",
     "bound_state_count",
+    "at_threshold",
     "energy",
     "psi_bound",
     "bound_sampler",
@@ -102,26 +107,50 @@ def _sigma_tol(s: float) -> float:
 def bound_state_count(params: OscillatorParams) -> int:
     """floor(s) + 1: the levels are the integers n >= 0 with sigma = s - n >= 0
     to rounding accuracy.  The vanishing well (omega = 0) supports none: its
-    only label n = 0 sits at threshold with an identically vanishing profile."""
+    only level n = 0 sits at threshold with an identically vanishing profile."""
     if params.omega == 0.0:
         return 0
     return math.floor(params.s + _sigma_tol(params.s)) + 1
 
 
+def at_threshold(n: int, params: OscillatorParams) -> bool:
+    """True for the zero-norm level n = s (to rounding accuracy), only at a
+    whole depth: its energy is E0, but its profile vanishes identically."""
+    return abs(params.s - n) <= _sigma_tol(params.s)
+
+
+def energy(n: int, params: OscillatorParams) -> float:
+    """E_n = mu omega^2 R^2 / 2 - (n - s)^2 / (2 mu R^2) for a level n (an
+    integer with sigma = s - n >= 0): strictly increasing in n and bounded by
+    the threshold E0, which only the threshold level n = s attains."""
+    if n < 0 or n != int(n) or n >= bound_state_count(params):
+        raise DomainError(f"level n={n} is unbound for s={params.s}")
+    return params.E0 - (params.s - n) ** 2 / (2.0 * params.mu * params.R ** 2)
+
+
 @dataclass(frozen=True)
 class BoundStateLabel:
-    """Discrete level n of the well: an integer n >= 0 with sigma = s - n >= 0
-    (to rounding accuracy).  sigma > 0 gives a normalizable state; sigma = 0,
-    only for whole s, the zero-norm threshold level."""
+    """Normalizable level n of the well: an integer n >= 0 with
+    sigma = s - n > 0, and its log normalisation log N, formed once.  The
+    zero-norm threshold level (``at_threshold``) is not a state."""
 
     n: int
     params: OscillatorParams
+    log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.n != int(self.n):
             raise ValueError("n must be a non-negative integer")
-        if self.sigma < -_sigma_tol(self.s):
-            raise DomainError(f"level n={self.n} is unbound for s={self.params.s}")
+        if at_threshold(self.n, self.params):
+            raise DomainError(f"level n={self.n} at s={self.s} is a zero-norm threshold level; "
+                              "it has energy E0 but no normalizable wavefunction")
+        if self.n >= bound_state_count(self.params):
+            raise DomainError(f"level n={self.n} is unbound for s={self.s}")
+        n, s, sig = self.n, self.s, self.sigma
+        object.__setattr__(self, "log_norm", (
+            0.5 * (math.log(sig) + math.lgamma(n + 1) - math.log(math.pi)
+                   - math.lgamma(2.0 * s - n + 1.0))
+            + math.lgamma(sig + 0.5)))
 
     @property
     def s(self) -> float:
@@ -129,37 +158,8 @@ class BoundStateLabel:
 
     @property
     def sigma(self) -> float:
-        """Decay exponent s - n of the profile; positive for normalizable
-        states, zero exactly at threshold."""
+        """Decay exponent s - n > 0 of the profile."""
         return self.params.s - self.n
-
-    @property
-    def at_threshold(self) -> bool:
-        """True for the zero-norm level n = s (to rounding accuracy): its
-        energy is E0, but its profile vanishes identically."""
-        return self.sigma <= _sigma_tol(self.s)
-
-    def _require_normalizable(self):
-        if self.at_threshold:
-            raise DomainError(
-                f"level n={self.n} at s={self.s} is a zero-norm threshold level; "
-                "it has energy E0 but no normalizable wavefunction"
-            )
-
-
-def energy(n: int, params: OscillatorParams) -> float:
-    """E_n = mu omega^2 R^2 / 2 - (n - s)^2 / (2 mu R^2) for a level n (an
-    integer with sigma = s - n >= 0): strictly increasing in n and bounded by
-    the threshold E0, which only the threshold level n = s attains."""
-    state = BoundStateLabel(n, params)  # validates sigma >= 0
-    return params.E0 - state.sigma ** 2 / (2.0 * params.mu * params.R ** 2)
-
-
-def _bound_log_prefactor(state: BoundStateLabel) -> float:
-    n, s, sig = state.n, state.s, state.sigma
-    return (0.5 * (math.log(sig) + math.lgamma(n + 1) - math.log(math.pi)
-                   - math.lgamma(2.0 * s - n + 1.0))
-            + math.lgamma(sig + 0.5))
 
 
 def psi_bound(state: BoundStateLabel, chi):
@@ -170,10 +170,8 @@ def psi_bound(state: BoundStateLabel, chi):
     evaluated with a log-space prefactor so large depths do not overflow.
     Accepts scalars or arrays.
     """
-    state._require_normalizable()
     chi_arr = np.asarray(chi, dtype=float)
     sig = state.sigma
-    lpref = _bound_log_prefactor(state)
     dist = np.abs(chi_arr)
     if dist.max(initial=0.0) <= 700.0:
         log_cosh = np.log(np.cosh(chi_arr))
@@ -181,7 +179,7 @@ def psi_bound(state: BoundStateLabel, chi):
         log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
                             np.log(np.cosh(np.minimum(dist, 700.0))))
     log_env = sig * (math.log(2.0) - log_cosh)
-    vals = np.exp(lpref + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
+    vals = np.exp(state.log_norm + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
     return vals if vals.ndim else float(vals)
 
 
@@ -190,14 +188,13 @@ def bound_sampler(state: BoundStateLabel) -> FieldSampler:
     |psi| <= N 4^(s-n) C_n(1) exp(-(s-n)|chi|), its amplitude kept as a
     logarithm (the amplitude overflows a double from s ~ 1000, its square
     from s ~ 510)."""
-    state._require_normalizable()
     sig = state.sigma
     # C_n^{alpha} attains its sup on [-1,1] at the endpoint: (2 alpha)_n / n!
     log_cmax = math.lgamma(2.0 * sig + 1.0 + state.n) - math.lgamma(2.0 * sig + 1.0) - math.lgamma(state.n + 1)
     return FieldSampler(
         func=lambda u: psi_bound(state, u),
         envelope=DecayEnvelope(
-            log_amplitude=_bound_log_prefactor(state) + sig * 2.0 * math.log(2.0) + log_cmax,
+            log_amplitude=state.log_norm + sig * 2.0 * math.log(2.0) + log_cmax,
             rate=sig),
     )
 
@@ -244,7 +241,6 @@ def momentum_calibration(state: BoundStateLabel) -> complex:
     """
     from .geometry import shapiro_forward_1d  # at call time: the grid commands never load geometry
 
-    state._require_normalizable()
     R = state.params.R
     sampler = bound_sampler(state)
     best_q, best_mag = None, -1.0
@@ -263,7 +259,6 @@ def psi_momentum(state: BoundStateLabel, p):
     imaginary for odd.  A scalar p gives a complex scalar; an array of
     momenta gives a complex array of its shape, each value the scalar
     call's bit for bit (the p-independent prefix is formed once)."""
-    state._require_normalizable()
     sign = (-1.0) ** state.n
     closed = _momentum_closed_3f2(state, -0.5 * math.log(2.0 * state.params.R))
     if np.ndim(p) == 0:
@@ -275,24 +270,25 @@ def psi_momentum(state: BoundStateLabel, p):
 
 @dataclass(frozen=True)
 class ScatteringStateLabel:
-    """Free level above the binding threshold: dimensionless wavenumber
-    p = R sqrt(2 mu E - mu^2 omega^2 R^2) > 0 and Legendre degree sigma."""
+    """Free level above the binding threshold of a well: dimensionless
+    wavenumber p = R sqrt(2 mu E - mu^2 omega^2 R^2) > 0."""
 
     p: float
-    sigma: float
+    params: OscillatorParams
 
     def __post_init__(self):
         if self.p <= 0:
             raise DomainError("scattering states require p > 0")
 
-    @classmethod
-    def from_params(cls, params: OscillatorParams, p: float) -> "ScatteringStateLabel":
-        # Degree solves sigma (sigma + 1) = (mu omega R^2)^2; the "+" branch
-        # equals the depth s.  (The pair sigma, -sigma-1 gives one function.)
-        return cls(p=p, sigma=params.s)
+    @property
+    def sigma(self) -> float:
+        """Legendre degree: the "+" root of sigma (sigma + 1) = (mu omega R^2)^2,
+        the depth s (the pair sigma, -sigma-1 gives one function)."""
+        return self.params.s
 
-    def energy(self, params: OscillatorParams) -> float:
-        return (self.p / params.R) ** 2 / (2.0 * params.mu) + params.E0
+    @property
+    def energy(self) -> float:
+        return (self.p / self.params.R) ** 2 / (2.0 * self.params.mu) + self.params.E0
 
 
 def psi_scatter(state: ScatteringStateLabel, chi: float) -> complex:

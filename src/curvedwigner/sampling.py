@@ -35,8 +35,10 @@ class DecayEnvelope:
 
     def tail_radius(self, tail_bound: float) -> float:
         """Smallest T with integral of the envelope over |u| > T below
-        ``tail_bound``, floored at 4: when the whole envelope is already
-        under the bound, T = 4.  Requires a strictly decaying envelope."""
+        ``tail_bound``; an envelope whose whole mass is already under the
+        bound gets T = 4.  T is not floored at 4: a mass just above the bound
+        gives T = log(mass / bound) / rate, 0.025 for a log excess of 0.1 at
+        rate 4.  Requires a strictly decaying envelope."""
         if self.rate <= 0:
             raise DomainError("envelope does not decay; integral cannot be truncated")
         if tail_bound <= 0:

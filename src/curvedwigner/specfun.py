@@ -88,13 +88,6 @@ def gamma_abs_squared(z: complex) -> float:
     return math.exp(2.0 * log_gamma(z).real)
 
 
-def _pochhammer(a: complex, k: int) -> complex:
-    out = 1.0 + 0j
-    for j in range(k):
-        out *= a + j
-    return out
-
-
 def _f21_series(a: complex, b: complex, c: complex, x: float, n_terms: int | None = None):
     """Raw power series.  ``n_terms`` caps the sum for terminating cases."""
     tot = term = 1.0 + 0j

@@ -187,8 +187,8 @@ def criterion_eigenfunctions(tol_scale: float = 1.0) -> CriterionResult:
             vals = (psi_bound(state, 0.4 - h), psi_bound(state, 0.4), psi_bound(state, 0.4 + h))
             res.append(abs(schrodinger_residual(vals, 0.4, h, E, params)))
         ratios.append(res[0] / res[1])
-    scat = ScatteringStateLabel.from_params(params, p=1.0)
-    E_sc = scat.energy(params)
+    scat = ScatteringStateLabel(1.0, params)
+    E_sc = scat.energy
     res = []
     for h in (1e-3, 5e-4):
         vals = tuple(psi_scatter(scat, 0.4 + d).real for d in (-h, 0.0, h))

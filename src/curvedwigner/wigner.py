@@ -98,11 +98,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
-from .oscillator import (BoundStateLabel, OscillatorParams, _bound_log_prefactor, bound_sampler,
-                         psi_bound, psi_momentum)
+from .oscillator import BoundStateLabel, OscillatorParams, bound_sampler, psi_bound, psi_momentum
 from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import DecayEnvelope, FieldSampler
-from .specfun import _pochhammer, laguerre, log_gamma
+from .specfun import laguerre, log_gamma
 
 __all__ = [
     "WignerGrid",
@@ -179,8 +178,8 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
     R / 2 pi) at T = 2|chi| + 2 log(mass / budget) / rate: the tail radius of
     the envelope amp e^{-2 min(r_f, r_g) |chi|} e^{-rate |u| / 2}
     (``DecayEnvelope.tail_radius``).  When the mass is already under budget,
-    its floor gives T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate, T
-    never decreases in |chi|, so a T taken at the largest |chi| of a grid is
+    the tail radius is 4, so T = 2|chi| + 4.  Since 2 min(r_f, r_g) <= rate,
+    T never decreases in |chi|, so a T taken at the largest |chi| of a grid is
     valid for every row; T <= 2|chi| + max(T(0), 4), and for equal rates
     T <= max(T(0), 2|chi| + 4).  The mass is formed as a logarithm from the
     envelopes' log amplitudes: amp alone overflows a double at large depth.
@@ -300,9 +299,12 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     cols = np.concatenate([qs[~near], nodes])
     lgB2 = (math.log(sig) + math.lgamma(2.0 * s - n + 1.0)
             - math.log(4.0) - math.lgamma(n + 1) - 2.0 * math.lgamma(sig + 1.0))
+    # g_k = (-n)_k (2s - n + 1)_k / ((sigma + 1)_k k!), each rising factorial
+    # (a)_k = a (a + 1) ... (a + k - 1) a product in that order
     gamma_coef = np.array([
-        (_pochhammer(-n, k) * _pochhammer(2.0 * s - n + 1.0, k)
-         / (_pochhammer(sig + 1.0, k) * math.factorial(k))).real
+        math.prod(float(j - n) for j in range(k))
+        * math.prod(2.0 * s - n + 1.0 + j for j in range(k))
+        / (math.prod(sig + 1.0 + j for j in range(k)) * math.factorial(k))
         for k in range(n + 1)
     ])
     c_flat, q_flat = np.repeat(chi, len(cols)), np.tile(cols, len(chi))
@@ -383,7 +385,7 @@ def _momentum_decay(state: BoundStateLabel):
             - math.lgamma(n - 2 * k + 1) + (n - 2 * k) * math.log(2.0) for k in range(n // 2 + 1)]
     top = max(logs)
     log_sn = top + math.log(sum(math.exp(v - top) for v in logs))
-    log_c0 = (math.log(R / (2.0 * math.pi)) + 2.0 * _bound_log_prefactor(state)
+    log_c0 = (math.log(R / (2.0 * math.pi)) + 2.0 * state.log_norm
               + sig * math.log(4.0) + 2.0 * log_sn
               + math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(sig) - math.lgamma(alpha))
 
@@ -393,7 +395,7 @@ def _momentum_decay(state: BoundStateLabel):
     return log_bound
 
 
-def _spectral_step(q_max: float, state: BoundStateLabel, spec: QuadratureSpec) -> float:
+def _spectral_step(q_max: float, log_bound, s: float, spec: QuadratureSpec) -> float:
     """Trapezoid step of the engine: h = 2 pi / (q_max + g).
 
     Step h aliases W(q) onto W(q + 2 pi m / h): by Poisson summation the
@@ -422,7 +424,8 @@ def _spectral_step(q_max: float, state: BoundStateLabel, spec: QuadratureSpec) -
     giving |W(chi, q)| <= C0 e^{-q theta} cos^{-2s}(theta / 2) (C0 in
     ``_momentum_decay``).  The minimum over theta, at tan(theta / 2) = q / s,
     is B(q) = C0 (1 + q^2 / s^2)^s e^{-2 q atan(q / s)}.  W is even in q, so
-    B(|q|) bounds it on the whole line.
+    B(|q|) bounds it on the whole line.  ``log_bound`` is log B, as
+    ``_momentum_decay`` returns it, and ``s`` the depth it was formed with.
 
     d log B / dq = -theta(q) = -2 atan(q / s) falls with q, so past g each
     further 2 pi / h >= g shrinks B by at least e^{-g theta(g)}, and the
@@ -431,8 +434,6 @@ def _spectral_step(q_max: float, state: BoundStateLabel, spec: QuadratureSpec) -
     falls monotonically in g); truncation adds a tenth of abs_tol.  The
     certificate stays step halving: this step only makes it pass with room.
     """
-    log_bound = _momentum_decay(state)
-    s = state.sigma + state.n
     target = math.log(0.25 * spec.abs_tol)
 
     def excess(g):
@@ -504,14 +505,15 @@ def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     R = state.params.R
     values = np.zeros((len(chi), len(qs)))
     run = _horizon(f, chi, R, spec)
-    cols = _above_budget(_momentum_decay(state)(np.abs(qs)), spec)
+    log_bound = _momentum_decay(state)
+    cols = _above_budget(log_bound(np.abs(qs)), spec)
     past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
                 columns_past_horizon=len(qs) - (cols.stop - cols.start))
     if run.start == run.stop or cols.start == cols.stop:
         return WignerGrid(chi, qs, values, state, **past)
     q_in = qs[cols]
     T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
-    h = _spectral_step(float(np.max(np.abs(q_in))), state, spec)
+    h = _spectral_step(float(np.max(np.abs(q_in))), log_bound, state.sigma + state.n, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
     # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
     coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, q_in))) for taus, weights in
@@ -654,16 +656,3 @@ def contraction_report(n: int, s_list) -> tuple:
         mask = np.abs(flat) > 0.05 * peak
         devs.append(float(np.max(np.abs(grid.values - flat)[mask])) / peak)
     return tuple(devs)
-
-
-def _mirror_index(axis: np.ndarray):
-    """The axis mirrored about 0 when it starts at or above 0 (its 0 entry
-    kept once), with the index of each new entry into the old axis; an axis
-    that already spans negative values stands as it is (as in
-    _axis_fold_factor)."""
-    idx = np.arange(len(axis))
-    if axis[0] < -1e-12:
-        return axis, idx
-    drop = 1 if abs(axis[0]) <= 1e-12 else 0
-    return (np.concatenate([-axis[::-1], axis[drop:]]),
-            np.concatenate([idx[::-1], idx[drop:]]))

@@ -31,7 +31,6 @@ from curvedwigner.oscillator import BoundStateLabel, flat_ho_reference
 from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from curvedwigner.sampling import DecayEnvelope, FieldSampler
 from curvedwigner.specfun import (
-    _pochhammer,
     gauss_2f1,
     hermite,
     hyper_3f2_terminating,
@@ -42,12 +41,18 @@ from curvedwigner.specfun import (
 def psi_bound_2f1(state: BoundStateLabel, chi: float) -> float:
     """Independent route to the same wavefunction through a terminating
     Gauss hypergeometric series (cross-check of psi_bound)."""
-    state._require_normalizable()
     n, s, sig = state.n, state.s, state.sigma
     lpref = (-sig * math.log(2.0) - math.lgamma(sig + 1.0)
              + 0.5 * (math.log(sig) + math.lgamma(2.0 * s - n + 1.0) - math.lgamma(n + 1)))
     hyp = gauss_2f1(-n, 2.0 * s - n + 1.0, sig + 1.0, (1.0 - math.tanh(chi)) / 2.0)
     return math.exp(lpref - sig * math.log(math.cosh(chi))) * hyp.real
+
+
+def _pochhammer(a, k):
+    out = 1.0 + 0j
+    for j in range(k):
+        out *= a + j
+    return out
 
 
 def continuous_hahn(n: int, z: complex, a: float, b: float, c: float, d: float) -> complex:
@@ -75,7 +80,6 @@ def psi_momentum_hahn(state: BoundStateLabel, p: float) -> complex:
     Note the second and fourth Hahn parameters carry the +1 (the symmetric
     choice a = b = c = d - 1 does not reproduce the transform).
     """
-    state._require_normalizable()
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
     q = p * R
     a = 0.5 * sig

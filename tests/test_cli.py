@@ -417,7 +417,7 @@ class TestWignerCommand:
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
         rc = main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:12,0:4:10",
                    "--out", str(tmp_path)])
         assert rc == 3

@@ -12,6 +12,7 @@ from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
     ScatteringStateLabel,
+    at_threshold,
     bound_sampler,
     bound_state_count,
     depth_param,
@@ -98,9 +99,12 @@ class TestSpectrum:
         assert all(a < b for a, b in zip(es, es[1:]))
         assert all(e <= params.E0 for e in es)
         for n in range(count):
-            state = BoundStateLabel(n, params)
-            assert state.at_threshold == (s == int(s) and n == count - 1)
-            if not state.at_threshold:
+            assert at_threshold(n, params) == (s == int(s) and n == count - 1)
+            if at_threshold(n, params):
+                with pytest.raises(DomainError, match="zero-norm threshold level"):
+                    BoundStateLabel(n, params)
+            else:
+                state = BoundStateLabel(n, params)
                 assert np.isfinite(psi_bound(state, np.linspace(-3.0, 3.0, 7))).all()
         with pytest.raises(DomainError):
             BoundStateLabel(count, params)
@@ -179,15 +183,43 @@ class TestBoundWavefunctions:
             assert 3.0 < res[0] / res[1] < 5.0
 
     def test_threshold_state_has_no_wavefunction(self, s4_params):
-        state = BoundStateLabel(4, s4_params)  # sigma = 0, zero-norm level
-        assert energy(4, s4_params) == pytest.approx(10.0, abs=1e-12)
+        # sigma = 0, the zero-norm level: it has an energy but no label, so
+        # no wavefunction can be asked of it
+        assert energy(4, s4_params) == s4_params.E0 == pytest.approx(10.0, abs=1e-12)
         with pytest.raises(DomainError):
-            psi_bound(state, 0.3)
+            BoundStateLabel(4, s4_params)
 
     def test_large_depth_no_overflow(self):
         params = OscillatorParams.from_depth(30.0)
         val = psi_bound(BoundStateLabel(0, params), 0.0)
         assert math.isfinite(val) and val > 1.0  # ~ (mu w / pi)^(1/4)
+
+
+class TestLabels:
+    """A label is a valid state when it is built."""
+
+    def test_bound_label_is_normalizable(self):
+        with pytest.raises(DomainError, match="n=4 at s=4.0 is a zero-norm threshold level"):
+            BoundStateLabel(4, OscillatorParams.from_depth(4.0))
+        with pytest.raises(DomainError, match="zero-norm threshold level"):
+            BoundStateLabel(0, OscillatorParams(1.0, 0.0, 1.0))  # the empty omega = 0 well
+
+    def test_empty_well_has_no_energy(self):
+        # its only candidate level n = 0 sits at threshold, as eigen says
+        params = OscillatorParams(1.0, 0.0, 1.0)
+        assert at_threshold(0, params)
+        with pytest.raises(DomainError):
+            energy(0, params)
+
+    def test_log_norm_is_not_compared(self):
+        params = OscillatorParams.from_depth(4.7)
+        a, b = BoundStateLabel(2, params), BoundStateLabel(2, params)
+        object.__setattr__(b, "log_norm", 0.0)
+        assert a == b and hash(a) == hash(b) and "log_norm" not in repr(a)
+
+    def test_scattering_degree_is_the_depth(self):
+        for params in (OscillatorParams.from_depth(4.7), OscillatorParams(1.3, 2.0, 0.8)):
+            assert ScatteringStateLabel(1.0, params).sigma == params.s
 
 
 class TestMomentumRepresentation:
@@ -285,8 +317,8 @@ class TestMomentumRepresentation:
 
 class TestScattering:
     def test_residual_h2(self, s4_params):
-        state = ScatteringStateLabel.from_params(s4_params, p=1.0)
-        E = state.energy(s4_params)
+        state = ScatteringStateLabel(1.0, s4_params)
+        E = state.energy
         res = []
         for h in (1e-3, 5e-4):
             vals = tuple(psi_scatter(state, 0.5 + d).real for d in (-h, 0.0, h))
@@ -295,7 +327,7 @@ class TestScattering:
 
     def test_free_limit_pure_phase(self):
         params = OscillatorParams(1.0, 0.0, 1.0)
-        state = ScatteringStateLabel.from_params(params, p=1.3)
+        state = ScatteringStateLabel(1.3, params)
         assert state.sigma == 0.0
         vals = [psi_scatter(state, chi) for chi in (0.0, 0.7, 1.5)]
         mods = [abs(v) for v in vals]
@@ -306,8 +338,8 @@ class TestScattering:
         assert ratio == pytest.approx(cmath.exp(1.3j * 0.7), rel=1e-12)
 
     def test_regular_at_origin_and_continuous_in_p(self, s4_params):
-        a = psi_scatter(ScatteringStateLabel.from_params(s4_params, 1.0), 0.0)
-        b = psi_scatter(ScatteringStateLabel.from_params(s4_params, 1.0 + 1e-7), 0.0)
+        a = psi_scatter(ScatteringStateLabel(1.0, s4_params), 0.0)
+        b = psi_scatter(ScatteringStateLabel(1.0 + 1e-7, s4_params), 0.0)
         assert cmath.isfinite(a)
         assert abs(a - b) < 1e-5
 
@@ -323,8 +355,8 @@ class TestScattering:
         for s, expected_calls in ((4.0, 0), (4.3, 6)):
             calls.clear()
             params = OscillatorParams.from_depth(s)
-            state = ScatteringStateLabel.from_params(params, p=1.0)
-            E = state.energy(params)
+            state = ScatteringStateLabel(1.0, params)
+            E = state.energy
             res = []
             for h in (1e-3, 5e-4):
                 vals = tuple(psi_scatter(state, -2.0 + d).real for d in (-h, 0.0, h))
@@ -334,7 +366,7 @@ class TestScattering:
 
     def test_requires_positive_p(self, s4_params):
         with pytest.raises(DomainError):
-            ScatteringStateLabel.from_params(s4_params, 0.0)
+            ScatteringStateLabel(0.0, s4_params)
 
 
 class TestFlatReference:

@@ -4,10 +4,11 @@ The five commands run on small inputs with a call-event tracer installed;
 every function, method and property named through a module's ``__all__``
 must have been called, apart from the few listed below with the reason each
 one stays.  Each public name has one home, the one module whose ``__all__``
-names it, and ``import curvedwigner.cli`` loads only the modules the grid
-commands run.
+names it, no module imports another module's private name, and
+``import curvedwigner.cli`` loads only the modules the grid commands run.
 """
 
+import ast
 import collections
 import importlib
 import inspect
@@ -93,6 +94,24 @@ def test_every_public_name_has_one_home():
                                 for name in getattr(module, "__all__", ()))
     assert [name for name, count in homes.items() if count > 1] == []
     assert not hasattr(curvedwigner, "__all__")
+
+
+def private_imports(source: str) -> list[str]:
+    """Every ``_name`` (dunder names excepted) that ``source`` imports from
+    another module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "curvedwigner"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    package = Path(curvedwigner.__file__).parent
+    hits = {path.name: private_imports(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in hits.items() if found} == {}
 
 
 def test_cli_loads_only_the_modules_it_runs():

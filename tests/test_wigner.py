@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gaussian_sampler
 from reference_routes import flat_ho_sampler
-from curvedwigner import wigner
+from curvedwigner import artifacts, wigner
 from curvedwigner.artifacts import emit_grid_csv, emit_pgm, format_value, read_pgm
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
@@ -371,7 +371,8 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
     f = bound_sampler(state)
     R = state.params.R
     T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = wigner._spectral_step(float(np.max(np.abs(qs))), state, spec)
+    h = wigner._spectral_step(float(np.max(np.abs(qs))), wigner._momentum_decay(state),
+                              state.sigma + state.n, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
 
     def half_line_sum(taus, weights):
@@ -406,7 +407,7 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("n", range(4))
     def test_uncertified_grid_names_the_whole_grid_worst_point(self, s4_states, monkeypatch, n):
         # the worst point sits near chi = 0, in a middle block of this axis
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 0.4)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 0.4)
         chi, qs = np.linspace(-8.0, 8.0, 601), np.linspace(0.0, 12.0, 401)
         _, err, bound, nodes = whole_grid_engine(s4_states[n], chi, qs)
         i, j = np.unravel_index(np.argmax(err / bound), err.shape)
@@ -470,7 +471,7 @@ class TestSpectralEngine:
 
     def test_too_coarse_step_raises(self, s4_states, monkeypatch):
         chi, qs = figure1_axes(4.0, 17)
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
         with pytest.raises(PrecisionLossError, match=r"chi=.*pR="):
             wigner_grid(s4_states[1], chi, qs)
 
@@ -509,7 +510,8 @@ class TestProvenStep:
         chi = np.linspace(0.0, 6.0 / math.sqrt(s), 25)
         for n in range(4):
             state = BoundStateLabel(n, params)
-            g = 2.0 * math.pi / wigner._spectral_step(0.0, state, QuadratureSpec())
+            g = 2.0 * math.pi / wigner._spectral_step(0.0, wigner._momentum_decay(state),
+                                                      state.sigma + state.n, QuadratureSpec())
             qs = np.concatenate([np.linspace(0.0, g, 9), g * np.array([1.1, 1.25])])
             f = bound_sampler(state)
             peak = np.max(np.abs(wigner_quadrature_grid(f, f, chi, qs / R, R, spec)), axis=0)
@@ -557,7 +559,7 @@ class TestHorizon:
     def test_uncertified_point_names_its_pR_on_the_whole_axis(self, s4_states, monkeypatch):
         # the columns below the cut are not evaluated; the message still
         # names the worst point's pR, not its place among the evaluated ones
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, state, spec: 1.5)
+        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
         chi, qs = figure1_axes(4.0, 17)[0], np.linspace(-40.0, 12.0, 27)
         evaluated = qs[qs > -15.0]
         _, err, bound, _ = whole_grid_engine(s4_states[1], chi, evaluated)
@@ -662,8 +664,8 @@ class TestMarginals:
 
     def test_full_plane_grid_not_double_counted(self, marginal_grid):
         state, grid = marginal_grid
-        chi_f, rows = wigner._mirror_index(grid.chi_axis)
-        q_f, cols = wigner._mirror_index(grid.pR_axis)
+        chi_f, rows = artifacts._mirror_index(grid.chi_axis)
+        q_f, cols = artifacts._mirror_index(grid.pR_axis)
         full = WignerGrid(chi_f, q_f, grid.values[np.ix_(rows, cols)], grid.state)
         assert total_probability(full) == pytest.approx(
             total_probability(grid), rel=1e-10)
