@@ -195,10 +195,7 @@ def _checked_state(n: int, params: OscillatorParams) -> BoundStateLabel:
     try:
         return BoundStateLabel(n, params)
     except DomainError as exc:
-        raise ConfigError(
-            f"mode n={n} is outside the normalizable bound range for s={params.s:g}: it "
-            f"needs s - n > 0 ({bound_state_count(params)} level(s), the top one at "
-            f"threshold when s is whole)") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_echo(config: RunConfig) -> dict:
@@ -246,7 +243,7 @@ def run_wavefun(config: RunConfig) -> Path:
         psit = psi_momentum(state, qs / params.R)
         f2 = emit_csv(out / f"wavefun_momentum_n{n}.csv",
                       ["pR", "re_psit", "im_psit", "abs2_psit"],
-                      [qs, psit.real, psit.imag, [abs(z) ** 2 for z in psit.tolist()]],
+                      [qs, psit.real, psit.imag, psit.real ** 2 + psit.imag ** 2],
                       comments=label)
         files += [(f1, "wavefun_csv"), (f2, "wavefun_momentum_csv")]
     return write_manifest(out, files, _config_echo(config), __version__)

@@ -1,18 +1,19 @@
 """The conic oscillator on the hyperbola: a Poschl-Teller sech^2 trough.
 
-Bound states, the quadratic spectrum, the closed 3F2 momentum-space
-profile, scattering states, and the flat harmonic-oscillator reference used
-in contraction checks.  Bound wavefunctions are normalized with respect to
+Bound states, the quadratic spectrum, the momentum-space profile,
+scattering states, and the flat harmonic-oscillator reference used in
+contraction checks.  Bound wavefunctions are normalized with respect to
 dchi.
 
 A ``BoundStateLabel`` is always normalizable (sigma = s - n > 0), so no
 function taking one checks it; ``at_threshold(n, params)`` names the
 zero-norm level n = s of a whole depth, whose energy E0 ``eigen`` lists.
 
-The printed closed-form momentum profile is off by the constant
-(-1)^n / sqrt(2R); ``psi_momentum`` carries that constant in its prefactor,
-and ``momentum_calibration`` measures it against the numerical transform of
-the position profile, which verification reports.
+``psi_momentum``, the momentum profile the CLI writes, is the Wigner
+engine's certified trapezoid on the step ``spectral_step`` proves from
+``momentum_decay``.  The paper's printed 3F2 form is an oracle,
+``psi_momentum_closed``, carrying the constant (-1)^n / sqrt(2R) that
+``momentum_calibration`` measures against the numerical transform.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionLossError
 from .quadrature import QuadratureSpec
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
@@ -44,8 +45,11 @@ __all__ = [
     "energy",
     "psi_bound",
     "bound_sampler",
-    "momentum_calibration",
+    "momentum_decay",
+    "spectral_step",
     "psi_momentum",
+    "psi_momentum_closed",
+    "momentum_calibration",
     "psi_scatter",
     "flat_ho_reference",
 ]
@@ -168,7 +172,8 @@ def psi_bound(state: BoundStateLabel, chi):
         psi_n(chi) = N (2 sech chi)^(s-n) C_n^{s-n+1/2}(tanh chi),
 
     evaluated with a log-space prefactor so large depths do not overflow.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  The first chi where the product is not finite
+    (C_n^alpha overflows where sech^sigma underflows) raises PrecisionLossError.
     """
     chi_arr = np.asarray(chi, dtype=float)
     sig = state.sigma
@@ -179,7 +184,11 @@ def psi_bound(state: BoundStateLabel, chi):
         log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
                             np.log(np.cosh(np.minimum(dist, 700.0))))
     log_env = sig * (math.log(2.0) - log_cosh)
-    vals = np.exp(state.log_norm + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(state.log_norm + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
+    if not np.isfinite(vals).all():
+        raise PrecisionLossError(f"psi_{state.n} at s={state.s:g} overflows double precision at chi="
+                                 f"{chi_arr.ravel()[np.argmin(np.isfinite(vals).ravel())]:.6g}")
     return vals if vals.ndim else float(vals)
 
 
@@ -199,31 +208,154 @@ def bound_sampler(state: BoundStateLabel) -> FieldSampler:
     )
 
 
-def _momentum_closed_3f2(state: BoundStateLabel, log_scale: float = 0.0):
-    """Closed momentum-space form as printed, times exp(log_scale), as a
-    function of p:
+def momentum_decay(state: BoundStateLabel, c: float):
+    """log B_c(q) for q = p R >= 0 (numpy arrays allowed), a bound on
+    log |W(chi, q)| at every chi for c = 1 and on log |psi~(q / R)| for c = 1/2:
+
+        log B_c(q) = c log(R / 2 pi) + 2c log(N 2^sigma S_n) + c [s log(1 + q^2 / s^2)
+                     - 2 q atan(q / s)] + log(2c sqrt(pi) Gamma(c sigma) / Gamma(c sigma + 1/2)),
+
+    s = sigma + n, N the normalisation of psi_n = N (2 sech u)^sigma C_n^alpha(tanh u)
+    and S_n the sum of the absolute monomial coefficients of C_n^alpha; its
+    slope is -2c atan(q / s), and B_1(0) = R / pi for n = 0 (``spectral_step``)."""
+    n, sig, R = state.n, state.sigma, state.params.R
+    s, alpha = sig + n, sig + 0.5
+    # C_n^alpha(z) = sum_k (-1)^k Gamma(n - k + alpha) / (Gamma(alpha) k! (n - 2k)!) (2z)^(n - 2k)
+    logs = [math.lgamma(n - k + alpha) - math.lgamma(alpha) - math.lgamma(k + 1)
+            - math.lgamma(n - 2 * k + 1) + (n - 2 * k) * math.log(2.0) for k in range(n // 2 + 1)]
+    top = max(logs)
+    log_sn = top + math.log(sum(math.exp(v - top) for v in logs))
+    # every product with c is exact at c = 1, so W's bound keeps its bits
+    log_c0 = (c * math.log(R / (2.0 * math.pi)) + 2.0 * c * state.log_norm
+              + c * sig * math.log(4.0) + 2.0 * c * log_sn + math.log(2.0 * c * math.sqrt(math.pi))
+              + math.lgamma(c * sig) - math.lgamma(c * sig + 0.5))
+
+    def log_bound(q):
+        return log_c0 + c * s * np.log1p((q / s) ** 2) - 2.0 * c * q * np.arctan(q / s)
+
+    return log_bound
+
+
+def _falling_root(excess) -> float:
+    """Root of ``excess``, falling on q >= 0: the end, where excess <= 0, of
+    a bracket doubled from [0, 1] and then bisected 60 times."""
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return hi
+
+
+def spectral_step(q_max: float, state: BoundStateLabel, c: float, spec: QuadratureSpec) -> float:
+    """Trapezoid step h = 2 pi / (q_max + g) of a half-line sum for
+    F = W (c = 1) or F = psi~ (c = 1/2) of ``state``.
+
+    Step h aliases F(q) onto F(q + 2 pi m / h): by Poisson summation the
+    step-h sum at |q| <= q_max is F(q) plus sum_{m != 0} F(q + 2 pi m / h),
+    and every alias sits at least g + (|m| - 1) 2 pi / h past the origin.
+    The guard g comes from a bound on F's decay in q, proven as follows.
+
+    psi_n(u) = N (2 sech u)^sigma C_n^alpha(tanh u) is analytic for
+    |Im u| < pi / 2 and decays along every horizontal line.  With u = x + i y,
+
+        |sech(u)| <= sech x / cos y,   |tanh(u)| <= 1 / cos y
+
+    (|cosh u|^2 = cosh^2 x - sin^2 y >= cosh^2 x cos^2 y and
+    |sinh u|^2 = cosh^2 x - cos^2 y <= cosh^2 x), and since 1 / cos y >= 1,
+    |C_n^alpha(z)| <= S_n |z|^n with S_n the sum of |monomial coefficients|.
+    So |psi(u)| <= N 2^sigma S_n sech^sigma(x) cos^{-s}(y), s = sigma + n.
+    For q >= 0 shift the contour so that every profile argument has
+    Im u = -y, 0 <= y < pi / 2 (u by y in psi~ = sqrt(R / 2 pi) int psi(u)
+    e^{-i q u} du, tau by 2y in W = (R / 2 pi) int psi(chi - tau/2)
+    psi(chi + tau/2) e^{-i q tau} dtau): the phase has modulus e^{-2c q y},
+    each of the 2c profiles the bound above, int sech^sigma v dv =
+    sqrt(pi) Gamma(sigma / 2) / Gamma(sigma / 2 + 1/2), and by Cauchy-Schwarz
+    int sech^sigma(chi - t/2) sech^sigma(chi + t/2) dt <= 2 sqrt(pi)
+    Gamma(sigma) / Gamma(sigma + 1/2) at every chi.  The minimum over y of
+    the resulting bound, at tan y = q / s, is B_c(q) (``momentum_decay``);
+    |F| is even in q, so B_c(|q|) bounds it on the whole line.
+
+    d log B_c / dq = -2c atan(q / s) falls with q, so past g each further
+    2 pi / h >= g shrinks B_c by at least e^{-2c g atan(g / s)}, and the
+    aliases sum to at most 2 B_c(g) / (1 - e^{-2c g atan(g / s)}) on both
+    sides.  g is the root of that bound = abs_tol / 4, by bisection (the left
+    side falls monotonically in g); truncation adds a tenth of abs_tol.  The
+    certificate stays step halving: this step only makes it pass with room.
+    """
+    log_bound, s = momentum_decay(state, c), state.sigma + state.n
+    target = math.log(0.25 * spec.abs_tol)
+
+    def excess(g):
+        # log of the aliases' bound 2 B_c(g) / (1 - e^{-2c g atan(g / s)}) over the target
+        decay = 2.0 * c * g * math.atan(g / s)
+        return float(log_bound(g)) + math.log(2.0) - math.log(-math.expm1(-decay)) - target
+
+    return 2.0 * math.pi / (q_max + _falling_root(excess))
+
+
+def psi_momentum(state: BoundStateLabel, p):
+    """psi~(p) = sqrt(R / 2 pi) int e^{-i p R u} psi_n(u) du by the Wigner
+    engine's certified half-line trapezoid; psi_n has parity (-1)^n, so with
+    q = p R, u_k = k h, w_0 = 1 and w_k = 2
+
+        psi~ = sqrt(R / 2 pi) h sum_k w_k psi_n(u_k) {cos, -i sin}(u_k q),
+
+    cos (a real value) for even n.  The nodes stop at the tail radius of
+    psi's envelope; past the cut where B_1/2 (``momentum_decay``) drops under
+    a tenth of abs_tol a value is 0, and h is ``spectral_step`` at that cut,
+    whatever the momenta, so an array of any shape gives the scalar calls'
+    values bit for bit.  Step halving as in the engine: a discrepancy above
+    max(10 abs_tol, 1e-9 |psi~|) raises PrecisionLossError naming the worst
+    momentum."""
+    spec, R = QuadratureSpec(), state.params.R
+    q, scale = np.asarray(p, dtype=float).ravel() * R, math.sqrt(R / (2.0 * math.pi))
+    log_bound, budget = momentum_decay(state, 0.5), math.log(0.1 * spec.abs_tol)
+    cut = _falling_root(lambda x: float(log_bound(x)) - budget)
+    h = spectral_step(cut, state, 0.5, spec)
+    k = np.arange(int(math.ceil(bound_sampler(state).envelope.tail_radius(
+        0.1 * spec.abs_tol / scale) / h)) + 1)
+    inside = np.abs(q) <= cut
+    q_in, wave = q[inside], (np.cos if state.n % 2 == 0 else np.sin)
+
+    def half_line_sum(taus, weights):
+        # einsum reduces each momentum's row alike in any block: no value depends on the others
+        terms, rows = weights * psi_bound(state, taus), max(1, 2 ** 16 // len(taus))
+        total = np.zeros(len(q_in))
+        for i in range(0, len(q_in), rows):
+            total[i:i + rows] = np.einsum("jk,k->j", wave(np.outer(q_in[i:i + rows], taus)), terms)
+        return scale * h * total
+
+    coarse = half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
+    fine = 0.5 * (coarse + half_line_sum((k[:-1] + 0.5) * h, 2.0))
+    err, bound = np.abs(fine - coarse), np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+    if (err > bound).any():
+        j = int(np.argmax(err / bound))
+        raise PrecisionLossError(f"momentum profile not certified at pR={q_in[j]:.6g}: step-halving "
+                                 f"discrepancy {err[j]:.2e} exceeds {bound[j]:.2e}")
+    values = np.zeros(len(q), dtype=complex)
+    values[inside] = fine if state.n % 2 == 0 else -1j * fine
+    return complex(values[0]) if np.ndim(p) == 0 else values.reshape(np.shape(p))
+
+
+def psi_momentum_closed(state: BoundStateLabel, p: float) -> complex:
+    """The paper's closed momentum-space form at one p, as printed,
 
         (R/2) sqrt(G(2s-n+1) / (pi (s-n) n!)) |G((s-n-ipR)/2)|^2 / G(s-n)^2
-        * 3F2(-n, 2s-n+1, (s-n-ipR)/2; s-n+1, s-n; 1).
+        * 3F2(-n, 2s-n+1, (s-n-ipR)/2; s-n+1, s-n; 1),
 
-    The p-independent part of the log prefactor is summed once, in the
-    order a single evaluation would sum it, so every value is the same
-    double however many momenta share the prefix.
-    """
+    times the constant (-1)^n / sqrt(2R) it is off by.  An oracle, like
+    ``wigner_closed_grid``: its alternating terms cancel as n grows (5e-7 in
+    the density at s = 30, n = 15, 4.8 at n = 25), so only ``verify`` runs it."""
     n, s, sig, R = state.n, state.s, state.sigma, state.params.R
+    half = 0.5 * (sig - 1j * float(p) * R)  # (s - n - ipR) / 2
     # |G((s-n-ipR)/2)|^2 enters as 2 Re log G: alone it overflows from s ~ 200
-    head = (log_scale + math.log(R / 2.0)
-            + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
-                     - math.log(sig) - math.lgamma(n + 1))
-            - 2.0 * math.lgamma(sig))
-
-    def closed(p: float) -> complex:
-        q = p * R
-        lpref = head + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real
-        f32 = hyper_3f2_terminating(n, 2.0 * s - n + 1.0, 0.5 * (sig - 1j * q), sig + 1.0, sig)
-        return math.exp(lpref) * f32
-
-    return closed
+    lpref = (math.log(R / 2.0) + 0.5 * (math.lgamma(2.0 * s - n + 1.0) - math.log(math.pi)
+                                        - math.log(sig) - math.lgamma(n + 1))
+             - 2.0 * math.lgamma(sig) + 2.0 * log_gamma(half).real)
+    f32 = hyper_3f2_terminating(n, 2.0 * s - n + 1.0, half, sig + 1.0, sig)
+    return (-1.0) ** n / math.sqrt(2.0 * R) * math.exp(lpref) * f32
 
 
 _CALIBRATION_PROBES = (0.45, 0.85, 1.35)  # dimensionless q = p R
@@ -237,35 +369,14 @@ def momentum_calibration(state: BoundStateLabel) -> complex:
     The transform is the ground truth; the constant is measured at the probe
     wavenumber where the closed form is largest, one quadrature per call.
     It comes out p-independent and equal to the (-1)^n / sqrt(2 R) that
-    ``psi_momentum`` carries; verification reports the measured values.
+    ``psi_momentum_closed`` carries; verification reports the measured values.
     """
     from .geometry import shapiro_forward_1d  # at call time: the grid commands never load geometry
 
     R = state.params.R
-    sampler = bound_sampler(state)
-    best_q, best_mag = None, -1.0
-    closed = _momentum_closed_3f2(state)
-    for q in _CALIBRATION_PROBES:
-        mag = abs(closed(q / R))
-        if mag > best_mag:
-            best_q, best_mag = q, mag
-    exact = shapiro_forward_1d(sampler, best_q / R, R, _CALIBRATION_SPEC)
-    return exact / closed(best_q / R)
-
-
-def psi_momentum(state: BoundStateLabel, p):
-    """Momentum-space wavefunction sqrt(R/2pi) * FT of psi_bound: the closed
-    3F2 form with (-1)^n / sqrt(2R) in its prefactor.  Real for even n,
-    imaginary for odd.  A scalar p gives a complex scalar; an array of
-    momenta gives a complex array of its shape, each value the scalar
-    call's bit for bit (the p-independent prefix is formed once)."""
-    sign = (-1.0) ** state.n
-    closed = _momentum_closed_3f2(state, -0.5 * math.log(2.0 * state.params.R))
-    if np.ndim(p) == 0:
-        return sign * closed(float(p))
-    ps = np.asarray(p, dtype=float)
-    values = [sign * closed(v) for v in ps.ravel().tolist()]
-    return np.array(values, dtype=complex).reshape(ps.shape)
+    q = max(_CALIBRATION_PROBES, key=lambda v: abs(psi_momentum_closed(state, v / R)))
+    exact = shapiro_forward_1d(bound_sampler(state), q / R, R, _CALIBRATION_SPEC)
+    return (-1.0) ** state.n / math.sqrt(2.0 * R) * exact / psi_momentum_closed(state, q / R)
 
 
 @dataclass(frozen=True)

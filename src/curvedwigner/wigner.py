@@ -12,7 +12,8 @@ and two independent oracles.
   a uniform-step trapezoid rule, which converges exponentially for analytic,
   exponentially decaying integrands (Trefethen & Weideman, SIAM Review 56
   (2014) 385).  The step comes from a proven bound on W's decay in q
-  (``_spectral_step``).  It is halved once over the whole grid; any
+  (``oscillator.spectral_step``, the step ``psi_momentum`` runs on with half
+  the strip).  It is halved once over the whole grid; any
   disagreement raises PrecisionLossError rather than being patched.
 
   The grid is sized by the state, not by the axis.  Past a horizon |chi_h|
@@ -25,7 +26,7 @@ and two independent oracles.
   the nodes follow the largest |chi| within the horizon, so a chi axis to
   1e9 costs what its first rows do; ``WignerGrid.rows_past_horizon``
   counts the zero rows.  The columns are cut the same way: past the |q|
-  where the bound B(|q|) >= |W(chi, q)| for every chi (``_momentum_decay``)
+  where the bound B_1(|q|) >= |W(chi, q)| for every chi (``momentum_decay``)
   falls below the budget they are 0, h follows the largest |q| before that
   cut, so a pR axis to 1e9 costs what its first columns do, and
   ``WignerGrid.columns_past_horizon`` counts them.
@@ -82,7 +83,8 @@ by even-in-q Lagrange interpolation from four columns just outside it.
 ``exact_marginals`` is the one home of the densities |psi(chi)|^2 and
 |psi~(p)|^2: the CLI writes them as each panel's marginal files, and
 verification criterion 2 holds the integrated marginals of engine grids to
-them.
+them.  psi~ is ``psi_momentum``, the engine's certified trapezoid; its
+printed 3F2 form (``psi_momentum_closed``) is an oracle, like W's.
 
 Both correlation routes cut the tau integral at |tau| = T = 2|chi| plus the
 tail radius of the correlation's envelope beyond 2|chi|, so the discarded
@@ -98,7 +100,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
-from .oscillator import BoundStateLabel, OscillatorParams, bound_sampler, psi_bound, psi_momentum
+from .oscillator import (BoundStateLabel, OscillatorParams, bound_sampler, momentum_decay,
+                         psi_bound, psi_momentum, spectral_step)
 from .quadrature import QuadratureSpec, gauss_kronrod_vector
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import laguerre, log_gamma
@@ -138,7 +141,7 @@ class WignerGrid:
     fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
     rows_past_horizon: int = 0      # rows the engine wrote as 0 (``_horizon``)
-    columns_past_horizon: int = 0   # pR columns the engine wrote as 0 (``_momentum_decay``)
+    columns_past_horizon: int = 0   # pR columns the engine wrote as 0 (``momentum_decay``)
 
     def __post_init__(self):
         chi = np.asarray(self.chi_axis, dtype=float)
@@ -365,91 +368,6 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     return values
 
 
-def _momentum_decay(state: BoundStateLabel):
-    """log B(q), a bound on log |W(chi, q)| for every chi, as a function of
-    q = p R >= 0 (numpy arrays allowed):
-
-        log B(q) = log C0 + s log(1 + q^2 / s^2) - 2 q atan(q / s),
-        C0 = (R / 2 pi) N^2 4^sigma S_n^2 * 2 sqrt(pi) Gamma(sigma) / Gamma(sigma + 1/2),
-
-    with s = sigma + n, N the normalisation of psi_n = N (2 sech u)^sigma
-    C_n^alpha(tanh u), alpha = sigma + 1/2, and S_n the sum of the absolute
-    monomial coefficients of C_n^alpha.  For n = 0, C0 = R / pi.  The
-    derivation is in ``_spectral_step``.
-    """
-    n, sig, R = state.n, state.sigma, state.params.R
-    s = sig + n
-    alpha = sig + 0.5
-    # C_n^alpha(z) = sum_k (-1)^k Gamma(n - k + alpha) / (Gamma(alpha) k! (n - 2k)!) (2z)^(n - 2k)
-    logs = [math.lgamma(n - k + alpha) - math.lgamma(alpha) - math.lgamma(k + 1)
-            - math.lgamma(n - 2 * k + 1) + (n - 2 * k) * math.log(2.0) for k in range(n // 2 + 1)]
-    top = max(logs)
-    log_sn = top + math.log(sum(math.exp(v - top) for v in logs))
-    log_c0 = (math.log(R / (2.0 * math.pi)) + 2.0 * state.log_norm
-              + sig * math.log(4.0) + 2.0 * log_sn
-              + math.log(2.0 * math.sqrt(math.pi)) + math.lgamma(sig) - math.lgamma(alpha))
-
-    def log_bound(q):
-        return log_c0 + s * np.log1p((q / s) ** 2) - 2.0 * q * np.arctan(q / s)
-
-    return log_bound
-
-
-def _spectral_step(q_max: float, log_bound, s: float, spec: QuadratureSpec) -> float:
-    """Trapezoid step of the engine: h = 2 pi / (q_max + g).
-
-    Step h aliases W(q) onto W(q + 2 pi m / h): by Poisson summation the
-    step-h sum at |q| <= q_max is W(q) plus sum_{m != 0} W(q + 2 pi m / h),
-    and every alias sits at least g + (|m| - 1) 2 pi / h past the origin.
-    The guard g comes from a bound on W's decay in q, proven as follows.
-
-    psi_n(u) = N (2 sech u)^sigma C_n^alpha(tanh u) is analytic for
-    |Im u| < pi / 2, so corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2)
-    is analytic for |Im tau| < pi and decays along every horizontal line.
-    For q >= 0 shift the contour of W = (R / 2 pi) int corr e^{-i q tau}
-    dtau to Im tau = -theta, 0 <= theta < pi: then |e^{-i q tau}| = e^{-q theta}
-    and each profile argument has |Im u| = y = theta / 2.  With u = x + i y,
-
-        |sech(u)| <= sech x / cos y,   |tanh(u)| <= 1 / cos y
-
-    (|cosh u|^2 = cosh^2 x - sin^2 y >= cosh^2 x cos^2 y and
-    |sinh u|^2 = cosh^2 x - cos^2 y <= cosh^2 x), and since 1 / cos y >= 1,
-    |C_n^alpha(z)| <= S_n |z|^n with S_n the sum of |monomial coefficients|.
-    So |psi(u)| <= N 2^sigma S_n sech^sigma(x) cos^{-s}(y), s = sigma + n,
-    and by Cauchy-Schwarz, for every chi,
-
-        int sech^sigma(chi - t/2) sech^sigma(chi + t/2) dt
-            <= 2 int sech^{2 sigma} v dv = 2 sqrt(pi) Gamma(sigma) / Gamma(sigma + 1/2),
-
-    giving |W(chi, q)| <= C0 e^{-q theta} cos^{-2s}(theta / 2) (C0 in
-    ``_momentum_decay``).  The minimum over theta, at tan(theta / 2) = q / s,
-    is B(q) = C0 (1 + q^2 / s^2)^s e^{-2 q atan(q / s)}.  W is even in q, so
-    B(|q|) bounds it on the whole line.  ``log_bound`` is log B, as
-    ``_momentum_decay`` returns it, and ``s`` the depth it was formed with.
-
-    d log B / dq = -theta(q) = -2 atan(q / s) falls with q, so past g each
-    further 2 pi / h >= g shrinks B by at least e^{-g theta(g)}, and the
-    aliases sum to at most 2 B(g) / (1 - e^{-g theta(g)}) on both sides.  g
-    is the root of that bound = abs_tol / 4, by bisection (the left side
-    falls monotonically in g); truncation adds a tenth of abs_tol.  The
-    certificate stays step halving: this step only makes it pass with room.
-    """
-    target = math.log(0.25 * spec.abs_tol)
-
-    def excess(g):
-        # log of the aliases' bound 2 B(g) / (1 - e^{-g theta(g)}) over the target
-        decay = 2.0 * g * math.atan(g / s)
-        return float(log_bound(g)) + math.log(2.0) - math.log(-math.expm1(-decay)) - target
-
-    lo, hi = 0.0, 1.0
-    while excess(hi) > 0.0:
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
-    return 2.0 * math.pi / (q_max + hi)
-
-
 def _above_budget(log_bound: np.ndarray, spec: QuadratureSpec) -> slice:
     """The run of axis entries from the first to the last whose bound on
     log |W| exceeds the truncation budget, log(0.1 ``spec.abs_tol``); every
@@ -485,11 +403,11 @@ def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
 
     The correlation of a real profile is even in tau, so each grid is one
     half-line trapezoid sum.  Rows past the state's horizon (``_horizon``)
-    and columns past its momentum cut, where W's bound B(|q|)
-    (``_momentum_decay``) is within the truncation budget, are 0 and cost
+    and columns past its momentum cut, where W's bound B_1(|q|)
+    (``momentum_decay``) is within the truncation budget, are 0 and cost
     nothing; T comes from the largest |chi| of the rows evaluated, and the
     step h from W's momentum decay at the largest |q| of the columns
-    evaluated (``_spectral_step``).  T, h, the nodes and both cos(tau q)
+    evaluated (``spectral_step``).  T, h, the nodes and both cos(tau q)
     matrices are built once per grid; the rows evaluated then go through in
     blocks of about _BLOCK_ELEMENTS elements per temporary, written into one
     output array, so the peak memory is the grid's values plus a fixed
@@ -505,15 +423,14 @@ def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
     R = state.params.R
     values = np.zeros((len(chi), len(qs)))
     run = _horizon(f, chi, R, spec)
-    log_bound = _momentum_decay(state)
-    cols = _above_budget(log_bound(np.abs(qs)), spec)
+    cols = _above_budget(momentum_decay(state, 1.0)(np.abs(qs)), spec)
     past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
                 columns_past_horizon=len(qs) - (cols.stop - cols.start))
     if run.start == run.stop or cols.start == cols.stop:
         return WignerGrid(chi, qs, values, state, **past)
     q_in = qs[cols]
     T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
-    h = _spectral_step(float(np.max(np.abs(q_in))), log_bound, state.sigma + state.n, spec)
+    h = spectral_step(float(np.max(np.abs(q_in))), state, 1.0, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
     # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
     coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, q_in))) for taus, weights in
@@ -591,15 +508,13 @@ def exact_marginals(state: BoundStateLabel, chi_axis, pR_axis):
     every k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left,
     with no truncation and no step.  integral dchi W = |psi~(p)|^2 is the
     paper's identity, which verification criterion 2 checks for the engine
-    on a grid covering the support, and criterion 9 checks the 3F2 form of
-    psi~ against the numerical transform.
+    on a grid covering the support, and criterion 9 checks psi~ (real or
+    imaginary) and its printed 3F2 oracle against the numerical transform.
     """
     R = state.params.R
     position = psi_bound(state, np.asarray(chi_axis, dtype=float)) ** 2
     psit = psi_momentum(state, np.asarray(pR_axis, dtype=float) / R)
-    # Python's abs and ** on each value: numpy's differ in the last bit
-    momentum = np.array([abs(z) ** 2 for z in psit.tolist()])
-    return position, momentum
+    return position, psit.real ** 2 + psit.imag ** 2
 
 
 def marginal_momentum_integrated(grid: WignerGrid) -> np.ndarray:

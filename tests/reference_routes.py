@@ -4,8 +4,8 @@ None of these is reached from the CLI or ``verify``; each one cross-checks
 a route that is:
 
 * ``psi_bound_2f1``: ``psi_bound`` through a terminating Gauss series;
-* ``psi_momentum_hahn`` with ``continuous_hahn``: ``psi_momentum`` through
-  continuous Hahn polynomials;
+* ``psi_momentum_hahn`` with ``continuous_hahn``: ``psi_momentum_closed``
+  through continuous Hahn polynomials;
 * ``flat_ho_sampler``: the flat oscillator as a sampler, so that
   ``flat_ho_wigner`` can be checked against ``wigner_quadrature_1d``;
 * ``bargmann_angle``: ``boost_direction`` on the circle;

@@ -1,11 +1,16 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curvedwigner import cli
 from curvedwigner.artifacts import read_csv, read_pgm, validate_manifest
 from curvedwigner.cli import (
     FIGURE1_DEPTHS,
@@ -19,12 +24,15 @@ from curvedwigner.cli import (
     run_wigner,
 )
 from curvedwigner.errors import ConfigError
+from curvedwigner.geometry import shapiro_forward_1d
 from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
+    bound_sampler,
     psi_bound,
     psi_momentum,
 )
+from curvedwigner.quadrature import QuadratureSpec
 
 
 def collect():
@@ -243,7 +251,7 @@ class TestConfigHandling:
         # every mode is checked before the first file: no partial output
         assert main([command, "--s", "4", "--n", "0,9", "--grid", "0:1:3,0:1:3",
                      "--out", str(tmp_path / "out")]) == 2
-        assert "outside the normalizable bound range" in capsys.readouterr().err
+        assert "level n=9 is unbound for s=4" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv,config", [
@@ -268,8 +276,14 @@ class TestConfigHandling:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["figure1", "--s", "0", "--n", "0", "--out", str(tmp_path / "out")]) == 2
-        assert "outside the normalizable bound range" in capsys.readouterr().err
+        assert "zero-norm threshold level" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_well_message_names_no_top_level(self, tmp_path, capsys):
+        # the omega = 0 well has no levels: the label's own message, no "top"
+        assert main(["wigner", "--omega", "0", "--n", "0", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "zero-norm threshold level" in err and "top" not in err
 
     @pytest.mark.parametrize("command,config,message", [
         ("eigen", {"s": 4.0, "out_dir": 5}, "output directory must be a string"),
@@ -371,6 +385,37 @@ class TestWavefun:
             psit = psi_momentum(BoundStateLabel(n, params), q[5] / params.R)
             assert (re_psit[5], im_psit[5]) == (psit.real, psit.imag)
 
+    def test_high_mode_momentum_matches_transform(self, tmp_path):
+        # s = 30, n = 25: the printed 3F2's cancellation wrote abs2_psit up to
+        # 111 here; the trapezoid holds it to the transform on the default axis
+        out = tmp_path / "out"
+        assert main(["wavefun", "--s", "30", "--n", "25", "--out", str(out)]) == 0
+        _, (q, re_psit, im_psit, abs2) = read_csv(out / "wavefun_momentum_n25.csv")
+        state = BoundStateLabel(25, OscillatorParams.from_depth(30.0))
+        exact = shapiro_forward_1d(bound_sampler(state), q, 1.0, QuadratureSpec(1e-13, 1e-13))
+        assert np.max(np.abs(abs2 - np.abs(exact) ** 2)) <= 1e-11
+        assert not re_psit.any() and np.array_equal(abs2, im_psit ** 2)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("wigner --s 2000 --n 150,175 --grid 0:0.3:5,0:2:5", 0),
+    ("wigner --s 2000 --n 200 --grid 0:0.3:5,0:2:5", 3),
+    ("wigner --s 2000 --n 500 --grid 0:0.3:5,0:2:5", 3),
+    ("wavefun --s 2000 --n 200", 3),
+    ("wavefun --s 2000 --n 500", 3),
+])
+def test_high_modes_exit_with_documented_codes(tmp_path, argv, code):
+    # past n ~ 180 at s = 2000 the profile's Gegenbauer product is not finite
+    # on the axes: exit 3 naming the point, never exit 1 with a traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "curvedwigner.cli", *argv.split(), "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 3:
+        assert "overflows double precision at chi=" in run.stderr
+
 
 class TestWignerCommand:
     def test_grid_artifacts(self, tmp_path):
@@ -411,13 +456,12 @@ class TestWignerCommand:
             _, (chi, dens) = read_csv(out / f"wigner_n{n}_marginal_position.csv")
             _, (q, densp) = read_csv(out / f"wigner_n{n}_marginal_momentum.csv")
             np.testing.assert_array_equal(dens, psi_bound(state, chi) ** 2)
-            np.testing.assert_array_equal(
-                densp, [abs(psi_momentum(state, v / params.R)) ** 2 for v in q])
+            np.testing.assert_array_equal(densp, np.abs(psi_momentum(state, q / params.R)) ** 2)
 
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
         rc = main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:12,0:4:10",
                    "--out", str(tmp_path)])
         assert rc == 3
@@ -514,7 +558,7 @@ def test_default_figure1_marginals_match_exact_densities(default_figure1):
             stem = f"figure1_s{s:g}_n{n}"
             _, (chi, dens) = read_csv(default_figure1 / f"{stem}_marginal_position.csv")
             _, (q, densp) = read_csv(default_figure1 / f"{stem}_marginal_momentum.csv")
-            exact_p = np.array([abs(psi_momentum(state, v / params.R)) ** 2 for v in q])
+            exact_p = np.abs(psi_momentum(state, q / params.R)) ** 2
             for name, got, exact in [(f"{stem}_marginal_position.csv", dens,
                                       psi_bound(state, chi) ** 2),
                                      (f"{stem}_marginal_momentum.csv", densp, exact_p)]:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from reference_routes import flat_ho_sampler, psi_bound_2f1, psi_momentum_hahn
-from curvedwigner import specfun
-from curvedwigner.errors import DomainError
+from curvedwigner import oscillator, specfun
+from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.geometry import shapiro_forward_1d
 from curvedwigner.oscillator import (
     BoundStateLabel,
@@ -21,6 +21,7 @@ from curvedwigner.oscillator import (
     momentum_calibration,
     psi_bound,
     psi_momentum,
+    psi_momentum_closed,
     psi_scatter,
     schrodinger_residual,
 )
@@ -182,6 +183,15 @@ class TestBoundWavefunctions:
                 res.append(abs(schrodinger_residual(vals, 0.7, h, E, s4_params)))
             assert 3.0 < res[0] / res[1] < 5.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_profile_raises(self):
+        # s = 2000, n = 200: C_n^alpha overflows where sech^sigma underflows,
+        # and the first such chi is named, without a numpy warning
+        state = BoundStateLabel(200, OscillatorParams.from_depth(2000.0))
+        assert np.isfinite(psi_bound(state, np.linspace(0.0, 0.8, 9))).all()
+        with pytest.raises(PrecisionLossError, match="overflows double precision at chi=0.9$"):
+            psi_bound(state, np.linspace(0.0, 1.2, 13))
+
     def test_threshold_state_has_no_wavefunction(self, s4_params):
         # sigma = 0, the zero-norm level: it has an energy but no label, so
         # no wavefunction can be asked of it
@@ -293,8 +303,35 @@ class TestMomentumRepresentation:
             for q in np.linspace(0.0, 3.0 * math.sqrt(s), 4):
                 exact = shapiro_forward_1d(sampler, q, 1.0, TIGHT)
                 assert abs(psi_momentum(state, q) - exact) < 1e-11
+                assert abs(psi_momentum_closed(state, q) - exact) < 1e-11
                 hahn = psi_momentum_hahn(state, q)
                 assert math.isfinite(abs(hahn))
+
+    @pytest.mark.parametrize("s, modes", [
+        (4.0, (0, 1, 2, 3)), (30.0, (0, 10, 20, 25, 29)), (200.0, (0, 50, 100, 150, 190))])
+    def test_every_mode_matches_transform(self, s, modes):
+        # the density up to each depth's top level, on pR <= 2 sqrt(s (n + 1));
+        # at s = 200 the transform itself stops converging near the top level
+        # (n = 199), and the printed 3F2 missed by 2.6e-3 at s = 30, n = 20
+        params = OscillatorParams.from_depth(s)
+        for n in modes:
+            state = BoundStateLabel(n, params)
+            qs = np.linspace(0.0, 2.0 * math.sqrt(s * (n + 1)), 41)
+            exact = shapiro_forward_1d(bound_sampler(state), qs, 1.0, TIGHT)
+            miss = np.max(np.abs(np.abs(psi_momentum(state, qs)) ** 2 - np.abs(exact) ** 2))
+            assert miss <= 1e-11, (n, miss)
+
+    def test_zero_past_the_cut_and_uncertified_step_raises(self, s4_states, monkeypatch):
+        # past the cut of B_1/2 a value is 0, and the transform agrees within
+        # the truncation budget; a step too coarse fails the halving check
+        state = s4_states[1]
+        far = np.array([-40.0, 30.0, 40.0])
+        assert not psi_momentum(state, far).any()
+        exact = shapiro_forward_1d(bound_sampler(state), far, 1.0, TIGHT)
+        assert np.max(np.abs(exact)) <= 0.1 * QuadratureSpec().abs_tol
+        monkeypatch.setattr(oscillator, "spectral_step", lambda q_max, state, c, spec: 1.5)
+        with pytest.raises(PrecisionLossError, match="not certified at pR="):
+            psi_momentum(state, np.linspace(0.0, 8.0, 9))
 
     def test_calibration_constant_value(self, s4_states):
         # the printed closed form overshoots by sqrt(2R) with sign (-1)^n
@@ -309,7 +346,7 @@ class TestMomentumRepresentation:
             ratios = []
             for q in (0.3, 0.9, 2.2, 4.4, 7.1):
                 hahn = psi_momentum_hahn(state, q)
-                f32 = psi_momentum(state, q)
+                f32 = psi_momentum_closed(state, q)
                 ratios.append(hahn / f32)
             spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
             assert spread < 1e-9

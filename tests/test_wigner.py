@@ -17,8 +17,10 @@ from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
     bound_sampler,
+    momentum_decay,
     psi_bound,
     psi_momentum,
+    spectral_step,
 )
 from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
 from curvedwigner.sampling import FieldSampler
@@ -371,8 +373,7 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
     f = bound_sampler(state)
     R = state.params.R
     T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = wigner._spectral_step(float(np.max(np.abs(qs))), wigner._momentum_decay(state),
-                              state.sigma + state.n, spec)
+    h = wigner.spectral_step(float(np.max(np.abs(qs))), state, 1.0, spec)
     k = np.arange(int(math.ceil(T / h)) + 1)
 
     def half_line_sum(taus, weights):
@@ -407,7 +408,7 @@ class TestSpectralEngine:
     @pytest.mark.parametrize("n", range(4))
     def test_uncertified_grid_names_the_whole_grid_worst_point(self, s4_states, monkeypatch, n):
         # the worst point sits near chi = 0, in a middle block of this axis
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 0.4)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 0.4)
         chi, qs = np.linspace(-8.0, 8.0, 601), np.linspace(0.0, 12.0, 401)
         _, err, bound, nodes = whole_grid_engine(s4_states[n], chi, qs)
         i, j = np.unravel_index(np.argmax(err / bound), err.shape)
@@ -471,7 +472,7 @@ class TestSpectralEngine:
 
     def test_too_coarse_step_raises(self, s4_states, monkeypatch):
         chi, qs = figure1_axes(4.0, 17)
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
         with pytest.raises(PrecisionLossError, match=r"chi=.*pR="):
             wigner_grid(s4_states[1], chi, qs)
 
@@ -510,13 +511,12 @@ class TestProvenStep:
         chi = np.linspace(0.0, 6.0 / math.sqrt(s), 25)
         for n in range(4):
             state = BoundStateLabel(n, params)
-            g = 2.0 * math.pi / wigner._spectral_step(0.0, wigner._momentum_decay(state),
-                                                      state.sigma + state.n, QuadratureSpec())
+            g = 2.0 * math.pi / spectral_step(0.0, state, 1.0, QuadratureSpec())
             qs = np.concatenate([np.linspace(0.0, g, 9), g * np.array([1.1, 1.25])])
             f = bound_sampler(state)
             peak = np.max(np.abs(wigner_quadrature_grid(f, f, chi, qs / R, R, spec)), axis=0)
             slack = R / (2.0 * math.pi) * np.maximum(spec.abs_tol, spec.rel_tol * peak)
-            bound = np.exp(wigner._momentum_decay(state)(qs))
+            bound = np.exp(momentum_decay(state, 1.0)(qs))
             assert np.all(peak <= bound + slack), (n, qs[peak > bound + slack])
             if n == 0:
                 assert bound[0] == pytest.approx(R / math.pi, rel=1e-13)
@@ -548,7 +548,7 @@ class TestHorizon:
         for state in s4_states[:2]:
             grid = wigner_grid(state, chi, qs)
             zero = ~grid.values.any(axis=0)
-            cut = wigner._momentum_decay(state)(np.abs(qs)) <= math.log(0.1 * spec.abs_tol)
+            cut = momentum_decay(state, 1.0)(np.abs(qs)) <= math.log(0.1 * spec.abs_tol)
             assert np.array_equal(zero, cut) and np.array_equal(zero, np.abs(qs) > 14.0)
             assert grid.columns_past_horizon == zero.sum()
             f = bound_sampler(state)
@@ -559,7 +559,7 @@ class TestHorizon:
     def test_uncertified_point_names_its_pR_on_the_whole_axis(self, s4_states, monkeypatch):
         # the columns below the cut are not evaluated; the message still
         # names the worst point's pR, not its place among the evaluated ones
-        monkeypatch.setattr(wigner, "_spectral_step", lambda q_max, log_bound, s, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
         chi, qs = figure1_axes(4.0, 17)[0], np.linspace(-40.0, 12.0, 27)
         evaluated = qs[qs > -15.0]
         _, err, bound, _ = whole_grid_engine(s4_states[1], chi, evaluated)
@@ -628,7 +628,7 @@ class TestMarginals:
     def test_position_marginal_gives_momentum_density(self, marginal_grid):
         state, grid = marginal_grid
         marg = marginal_position_integrated(grid)
-        target = np.array([abs(psi_momentum(state, q)) ** 2 for q in grid.pR_axis])
+        target = np.abs(psi_momentum(state, grid.pR_axis)) ** 2
         assert np.max(np.abs(marg - target)) < 5e-4
         assert marg.min() > -1e-6  # squared modulus
 
@@ -648,7 +648,7 @@ class TestMarginals:
         chi, qs = np.linspace(0.0, 5.0, 301), np.linspace(0.0, 10.0 * R, 321)
         grid = wigner_grid(state, chi, qs)
         position = psi_bound(state, chi) ** 2
-        momentum = np.array([abs(psi_momentum(state, q / R)) ** 2 for q in qs])
+        momentum = np.abs(psi_momentum(state, qs / R)) ** 2
         assert np.max(np.abs(marginal_momentum_integrated(grid) - position)) < 5e-4
         assert np.max(np.abs(marginal_position_integrated(grid) - momentum)) < 5e-4
         assert total_probability(grid) == pytest.approx(1.0, abs=5e-4)
