@@ -9,10 +9,10 @@ Both CSV routes share one writer and convert each value they are given to
 text once: a column is formatted in a single pass, and a grid file formats
 each chi and each pR axis value once per file (not once per point) beside
 one conversion per W value.  The writer takes the text a block of rows at
-a time and writes each block as it comes, and a grid file is formatted a
-block of chi rows at a time, so a file's text is never held whole: the
-peak memory of a grid route is the grid's values plus a fixed block of
-text.  Checksums read files in chunks.
+a time and writes each block as it comes, and both routes format a block
+at a time (a grid file whole chi rows, or pieces of a long one), so a
+file's text is never held whole: the peak memory of either route is its
+values plus a fixed block of text.  Checksums read files in chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-_CSV_BLOCK_POINTS = 2 ** 11  # grid values formatted per block of chi rows
+_CSV_BLOCK_POINTS = 2 ** 11  # values (table rows, or grid values) formatted per block
 
 
 def format_value(v: float) -> str:
@@ -71,31 +71,38 @@ def _write_csv(path: Path, column_names, blocks, comments) -> Path:
 
 def emit_csv(path, column_names, columns, comments=()) -> Path:
     """Write columns (equal-length sequences) as comma-separated UTF-8 with
-    one header row; '#'-prefixed comment lines may precede the header."""
+    one header row; '#'-prefixed comment lines may precede the header.  The
+    rows are formatted and written _CSV_BLOCK_POINTS at a time."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(cols) != len(column_names) or not cols:
         raise ValueError("need one name per column")
     length = len(cols[0])
     if any(len(c) != length for c in cols):
         raise ValueError("columns must have equal length")
-    return _write_csv(Path(path), column_names, [[_format_column(c) for c in cols]], comments)
+    if not all(np.isfinite(c).all() for c in cols):  # before the file is opened
+        raise ValueError("CSV data must be finite")
+    blocks = ([_format_column(c[start:start + _CSV_BLOCK_POINTS]) for c in cols]
+              for start in range(0, length, _CSV_BLOCK_POINTS))
+    return _write_csv(Path(path), column_names, blocks, comments)
 
 
 def emit_grid_csv(grid: WignerGrid, path) -> Path:
     """Grid values in row-major chi-outer order with axis columns
     (chi dimensionless, pR dimensionless, W in units of 1/(dchi dp)),
-    formatted and written whole chi rows at a time, about
-    _CSV_BLOCK_POINTS values per block."""
+    formatted and written about _CSV_BLOCK_POINTS values at a time: whole
+    chi rows, or pieces of one row when a row holds more."""
     nc, nq = grid.values.shape
     chi = _format_column(grid.chi_axis)
     q = _format_column(grid.pR_axis)
-    step = max(1, _CSV_BLOCK_POINTS // nq)
+    step, width = max(1, _CSV_BLOCK_POINTS // nq), min(nq, _CSV_BLOCK_POINTS)
 
     def blocks():
         for start in range(0, nc, step):
             rows = chi[start:start + step]
-            yield ([c for c in rows for _ in range(nq)], q * len(rows),
-                   _format_column(grid.values[start:start + step].reshape(-1)))
+            for col in range(0, nq, width):
+                cols = q[col:col + width]
+                yield ([c for c in rows for _ in cols], cols * len(rows), _format_column(
+                    grid.values[start:start + step, col:col + width].reshape(-1)))
 
     state = grid.state
     meta = ["evaluator=spectral",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionLossError
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
     gamma_abs_squared,
@@ -296,46 +296,27 @@ def spectral_step(q_max: float, state: BoundStateLabel, c: float, spec: Quadratu
 
 
 def psi_momentum(state: BoundStateLabel, p):
-    """psi~(p) = sqrt(R / 2 pi) int e^{-i p R u} psi_n(u) du by the Wigner
-    engine's certified half-line trapezoid; psi_n has parity (-1)^n, so with
-    q = p R, u_k = k h, w_0 = 1 and w_k = 2
-
-        psi~ = sqrt(R / 2 pi) h sum_k w_k psi_n(u_k) {cos, -i sin}(u_k q),
-
-    cos (a real value) for even n.  The nodes stop at the tail radius of
-    psi's envelope; past the cut where B_1/2 (``momentum_decay``) drops under
-    a tenth of abs_tol a value is 0, and h is ``spectral_step`` at that cut,
-    whatever the momenta, so an array of any shape gives the scalar calls'
-    values bit for bit.  Step halving as in the engine: a discrepancy above
-    max(10 abs_tol, 1e-9 |psi~|) raises PrecisionLossError naming the worst
-    momentum."""
+    """psi~(p) = sqrt(R / 2 pi) int e^{-i p R u} psi_n(u) du by the certified
+    half-line trapezoid (``quadrature.half_line_trapezoid``) of psi_n against
+    cos(u q), q = p R, for even n, and -i times the sin sum for odd n: psi_n
+    has parity (-1)^n, so a value is exactly real or exactly imaginary.  The
+    nodes stop at the tail radius of psi's envelope; past the cut where B_1/2
+    (``momentum_decay``) drops under a tenth of abs_tol a value is 0, and h
+    is ``spectral_step`` at that cut, whatever the momenta, so an array of
+    any shape gives the scalar calls' values bit for bit."""
     spec, R = QuadratureSpec(), state.params.R
     q, scale = np.asarray(p, dtype=float).ravel() * R, math.sqrt(R / (2.0 * math.pi))
     log_bound, budget = momentum_decay(state, 0.5), math.log(0.1 * spec.abs_tol)
     cut = _falling_root(lambda x: float(log_bound(x)) - budget)
     h = spectral_step(cut, state, 0.5, spec)
-    k = np.arange(int(math.ceil(bound_sampler(state).envelope.tail_radius(
-        0.1 * spec.abs_tol / scale) / h)) + 1)
+    T = bound_sampler(state).envelope.tail_radius(0.1 * spec.abs_tol / scale)
     inside = np.abs(q) <= cut
-    q_in, wave = q[inside], (np.cos if state.n % 2 == 0 else np.sin)
-
-    def half_line_sum(taus, weights):
-        # einsum reduces each momentum's row alike in any block: no value depends on the others
-        terms, rows = weights * psi_bound(state, taus), max(1, 2 ** 16 // len(taus))
-        total = np.zeros(len(q_in))
-        for i in range(0, len(q_in), rows):
-            total[i:i + rows] = np.einsum("jk,k->j", wave(np.outer(q_in[i:i + rows], taus)), terms)
-        return scale * h * total
-
-    coarse = half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
-    fine = 0.5 * (coarse + half_line_sum((k[:-1] + 0.5) * h, 2.0))
-    err, bound = np.abs(fine - coarse), np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
-    if (err > bound).any():
-        j = int(np.argmax(err / bound))
-        raise PrecisionLossError(f"momentum profile not certified at pR={q_in[j]:.6g}: step-halving "
-                                 f"discrepancy {err[j]:.2e} exceeds {bound[j]:.2e}")
+    fine = np.zeros((1, int(inside.sum())))
+    half_line_trapezoid(lambda rows, taus: psi_bound(state, taus)[None], np.zeros(1), q[inside],
+                        h, T, np.cos if state.n % 2 == 0 else np.sin, scale * h, spec,
+                        "momentum profile not certified at pR={q:.6g}", fine)
     values = np.zeros(len(q), dtype=complex)
-    values[inside] = fine if state.n % 2 == 0 else -1j * fine
+    values[inside] = fine[0] if state.n % 2 == 0 else -1j * fine[0]
     return complex(values[0]) if np.ndim(p) == 0 else values.reshape(np.shape(p))
 
 

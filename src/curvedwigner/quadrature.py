@@ -1,26 +1,31 @@
-"""Adaptive Gauss-Kronrod panel quadrature for smooth, possibly oscillatory
-complex integrands on a finite interval.
+"""Quadrature rules: adaptive Gauss-Kronrod panels for smooth, possibly
+oscillatory complex integrands on a finite interval, and the certified
+half-line trapezoid of the spectral engine and the momentum profile.
 
 ``gauss_kronrod_vector`` integrates a vector of m integrands on one shared
 adaptive partition (the vector-integrand scheme of Berntsen, Espelid & Genz,
-ACM TOMS 17 (1991) 452): the integrand maps a 1-D array of nodes to an
-array of shape (len(x), m), so work common to the components, such as a
-wavefunction sampled at the nodes, is done once per node, and a panel is
-bisected while any component still needs it.  ``adaptive_gauss_kronrod`` is
-the case m = 1.  Panels are refined in batches, so each refinement level
-costs a single vectorized call.  Results are deterministic: panel
-bookkeeping is ordered and independent of timing.
+ACM TOMS 17 (1991) 452), refined in batches, one vectorized call per level;
+``adaptive_gauss_kronrod`` is the case m = 1.  Results are deterministic:
+panel bookkeeping is ordered and independent of timing.
+
+``half_line_trapezoid`` sums sum_k w_k S(r, k h) wave(k h q) over rows r and
+momenta q, certified by step halving, in blocks of fixed size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonconvergenceError
+from .errors import NonconvergenceError, PrecisionLossError
 
-__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_vector"]
+__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_vector",
+           "half_line_trapezoid"]
+
+_BLOCK_ELEMENTS = 2 ** 13  # trapezoid samples, and values, per block of rows
+_WAVE_ELEMENTS = 2 ** 19   # trapezoid wave(t q) elements per node rule and block of columns
 
 # 15-point Kronrod nodes on [-1, 1]; odd-indexed nodes form the embedded
 # 7-point Gauss rule.
@@ -151,3 +156,66 @@ def gauss_kronrod_vector(f, a, b, spec: QuadratureSpec | None = None, initial_pa
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
         n_panels += split
+
+
+def half_line_trapezoid(samples, rows, q, h, T, wave, factor, spec: QuadratureSpec,
+                        label: str, out: np.ndarray) -> float:
+    """The certified step-h/2 half-line trapezoid sum, written into ``out``
+    of shape (len(rows), len(q)):
+
+        out[i, j] = factor / 2 sum_m w_m S(rows_i, m h / 2) wave(m h q_j / 2),
+
+    m = 0 .. 2 ceil(T / h), w_0 = 1, w_m = 2, with S = ``samples(rows, taus)``
+    of shape (len(rows), len(taus)).  It is the step-h sum averaged with its
+    midpoint sum; where the two differ by more than max(10 abs_tol, 1e-9 |out|)
+    it raises PrecisionLossError, ``label`` formatted with the worst point's
+    row r and momentum q (of equal ones, the first in the blocks' order).
+    Returns the largest difference.
+
+    Rows go in blocks, each sampled once.  The waves are built once when a
+    node set's matrix fits _WAVE_ELEMENTS, else per block of columns, with
+    row blocks as large as the samples' budget allows.  Each block is one
+    ``einsum("ik,jk->ij")``, which sums every value over the nodes on its
+    own, so the bytes depend on neither the thread count nor the blocks:
+    past numpy's buffer (8192 nodes), where it would split the sums of a
+    larger block, every block is one value.
+    """
+    if out.size == 0:
+        return 0.0
+    k = np.arange(int(math.ceil(T / h)) + 1)
+    rules = ((k * h, np.where(k == 0, 1.0, 2.0)), ((k[:-1] + 0.5) * h, 2.0))
+    fits = len(q) * len(k) <= _WAVE_ELEMENTS
+    if len(k) > np.getbufsize():  # numpy splits a longer sum unless it yields one value
+        cols = 1
+    elif fits:
+        cols = len(q)
+    else:  # the widest blocks that leave the samples' row block within budget
+        most_rows = min(len(rows), max(1, _BLOCK_ELEMENTS // len(k)))
+        cols = max(1, min(_WAVE_ELEMENTS // len(k), _BLOCK_ELEMENTS // most_rows))
+    step = max(1, _BLOCK_ELEMENTS // max(len(k), cols))
+
+    def waves(n, block):  # wave(t q) of node set n on a block of columns, in place
+        tq = np.outer(q[block], rules[n][0])
+        return wave(tq, out=tq)
+
+    whole = [waves(n, slice(None)) for n in (0, 1)] if fits else None
+    worst, worst_at, discrepancy = -1.0, (0, 0, 0.0, 0.0), 0.0
+    for r in range(0, len(rows), step):
+        terms = [samples(rows[r:r + step], taus) * weights for taus, weights in rules]
+        for c in range(0, len(q), cols):
+            coarse, mid = (factor * np.einsum("ik,jk->ij", terms[n], whole[n][c:c + cols] if whole
+                                              else waves(n, slice(c, c + cols))) for n in (0, 1))
+            fine = 0.5 * (coarse + mid)
+            out[r:r + step, c:c + cols] = fine
+            err = np.abs(fine - coarse)
+            bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+            ratio = err / bound
+            i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+            if ratio[i, j] > worst:
+                worst, worst_at = ratio[i, j], (r + i, c + j, err[i, j], bound[i, j])
+            discrepancy = max(discrepancy, float(err.max()))
+    i, j, err_ij, bound_ij = worst_at
+    if err_ij > bound_ij:
+        raise PrecisionLossError(f"{label.format(r=rows[i], q=q[j])}: step-halving "
+                                 f"discrepancy {err_ij:.2e} exceeds {bound_ij:.2e}")
+    return discrepancy

@@ -2,8 +2,9 @@
 hypergeometric series, classical orthogonal polynomials, and the Ferrers
 function of imaginary order.
 
-Everything here is scalar, pure and re-entrant.  Complex arguments are plain
-Python ``complex``; no arbitrary-precision types are involved.
+Everything here is pure and re-entrant, and scalar but for the polynomials,
+which also take arrays.  Complex arguments are plain Python ``complex``; no
+arbitrary-precision types are involved.
 
 ``gauss_2f1`` sums terminating series at any real x and the others on
 0 <= x < 1, where past x = 0.9 c-a-b must be off the integers.  A scattering
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .errors import NonconvergenceError, PoleError
 
@@ -159,15 +162,24 @@ def hyper_3f2_terminating(
 
 def gegenbauer(n: int, alpha: float, xi: float) -> float:
     """Gegenbauer (ultraspherical) polynomial C_n^alpha(xi) by the
-    three-term recurrence; ``xi`` may be a scalar or an array."""
+    three-term recurrence, in place on three arrays (at n ~ 2000 allocating
+    each step's temporaries cost more than its arithmetic); ``xi`` may be a
+    scalar or an array."""
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     if n == 0:
         return 1.0
-    prev, cur = 1.0, 2.0 * alpha * xi
+    xi = np.asarray(xi, dtype=float)
+    prev, cur, nxt = np.ones_like(xi), np.array(2.0 * alpha * xi), np.empty_like(xi)
     for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + alpha - 1.0) * xi * cur - (k + 2.0 * alpha - 2.0) * prev) / k
-    return cur
+        # (2 (k + alpha - 1) xi cur - (k + 2 alpha - 2) prev) / k, in that order
+        np.multiply(2.0 * (k + alpha - 1.0), xi, out=nxt)
+        nxt *= cur
+        prev *= k + 2.0 * alpha - 2.0
+        nxt -= prev
+        nxt /= k
+        prev, cur, nxt = cur, nxt, prev
+    return cur if cur.ndim else float(cur)
 
 
 def gegenbauer_2f1_form(n: int, alpha: float, xi: float) -> float:

@@ -2,34 +2,23 @@
 and two independent oracles.
 
 * ``wigner_grid`` is the certified spectral engine, the only route whose
-  grids the CLI writes.  It evaluates a whole grid of a bound state at
-  once.  The correlation corr(chi, tau) = psi(chi - tau/2) psi(chi + tau/2)
-  of a real profile is even in tau, so with q = p R and nodes tau_k = k h
+  grids the CLI writes.  The correlation psi(chi - tau/2) psi(chi + tau/2)
+  of a real profile is even in tau, so with q = p R a whole grid is one
+  half-line trapezoid sum, R h / 2 pi sum_k w_k corr(chi_i, k h) cos(k h q_j),
+  which converges exponentially for analytic, exponentially decaying
+  integrands (Trefethen & Weideman, SIAM Review 56 (2014) 385), on a step
+  proven from W's decay in q (``oscillator.spectral_step``).
+  ``quadrature.half_line_trapezoid`` sums it in blocks of fixed size and
+  certifies it by step halving; ``psi_momentum`` runs the same helper on psi.
 
-      W(chi_i, q_j) = (R / 2 pi) h sum_k w_k corr(chi_i, tau_k) cos(tau_k q_j),
-      w_0 = 1, w_k = 2 (k >= 1),
-
-  a uniform-step trapezoid rule, which converges exponentially for analytic,
-  exponentially decaying integrands (Trefethen & Weideman, SIAM Review 56
-  (2014) 385).  The step comes from a proven bound on W's decay in q
-  (``oscillator.spectral_step``, the step ``psi_momentum`` runs on with half
-  the strip).  It is halved once over the whole grid; any
-  disagreement raises PrecisionLossError rather than being patched.
-
-  The grid is sized by the state, not by the axis.  Past a horizon |chi_h|
-  the envelope |psi(u)| <= a e^{-sigma |u|} bounds the whole row,
-
-      |W(chi, q)| <= (R / 2 pi) a^2 e^{-2 sigma |chi|} (4 |chi| + 2 / sigma),
-
-  below the truncation budget, a tenth of abs_tol, so those rows are
-  written as 0, which is certified, and cost nothing (``_horizon``).  T and
-  the nodes follow the largest |chi| within the horizon, so a chi axis to
-  1e9 costs what its first rows do; ``WignerGrid.rows_past_horizon``
-  counts the zero rows.  The columns are cut the same way: past the |q|
-  where the bound B_1(|q|) >= |W(chi, q)| for every chi (``momentum_decay``)
-  falls below the budget they are 0, h follows the largest |q| before that
-  cut, so a pR axis to 1e9 costs what its first columns do, and
-  ``WignerGrid.columns_past_horizon`` counts them.
+  The grid is sized by the state, not by the axes.  Past a horizon |chi_h|
+  the envelope |psi(u)| <= a e^{-sigma |u|} bounds the whole row below the
+  truncation budget, a tenth of abs_tol, so those rows are written as 0
+  and cost nothing (``_horizon``); T and the nodes follow the rows within
+  it.  Past the |q| where W's bound B_1(|q|) (``momentum_decay``) falls
+  below the budget the columns are 0 too, and h follows the columns before
+  that cut.  ``WignerGrid.rows_past_horizon`` and ``columns_past_horizon``
+  count them.
 
 * ``wigner_quadrature_grid`` integrates the defining correlation integral
 
@@ -39,18 +28,9 @@ and two independent oracles.
   by adaptive Gauss-Kronrod panels over a chi axis and an array of
   momenta.  This is the ground truth: verification criterion 1 and the
   tests check the other routes against it.  The tau < 0 half is folded
-  onto tau in [0, T]: with c(tau) the integrand's profile product,
-  c(tau) e^{-iq tau} + c(-tau) e^{+iq tau} takes the same two profile
-  arguments, so one integrand over the half line gives the whole integral
-  for diagonal and cross pairs alike, with about half the nodes; for a real
-  diagonal pair it is the real 2 c(tau) cos(q tau).  The rows go in axis
-  order, in blocks of at most _ORACLE_COMPONENTS (chi, p) components, and
-  each block is one vector integrand on a single adaptive partition,
-  refined until every component meets its own tolerance, so the profiles
-  are sampled once per node for the whole block.  One T, taken at the
-  block's largest |chi|, serves every row of the block because T never
-  decreases in |chi| (``_pair_truncation``).  ``wigner_quadrature_1d`` is
-  the one-row case.
+  onto [0, T], and the rows go in blocks of (chi, p) components, each block
+  one vector integral on a shared adaptive partition (details in its
+  docstring).  ``wigner_quadrature_1d`` is the one-row case.
 
 * ``wigner_closed_grid`` evaluates the bound-state diagonal W(psi_n | chi, p)
   in closed form: a double sum over (k, k') of gamma-function coefficients
@@ -75,16 +55,10 @@ verification criterion 1 checks against quadrature on its validated box
 grid comes from it.  Below CHI_MIN its 2F1 series in e^{-4 chi} -> 1 does
 not converge, so it raises DomainError there; a value above the Wigner
 bound |W| <= R / pi (lost to cancellation at large depth) raises
-PrecisionLossError.  A grid runs one 2F1 series over all (k, k') pairs
-and the whole flattened chi x q block at once.  Near q = 0 the formula
-degenerates (paired gamma/hypergeometric poles); values there are rebuilt
-by even-in-q Lagrange interpolation from four columns just outside it.
+PrecisionLossError.
 
 ``exact_marginals`` is the one home of the densities |psi(chi)|^2 and
-|psi~(p)|^2: the CLI writes them as each panel's marginal files, and
-verification criterion 2 holds the integrated marginals of engine grids to
-them.  psi~ is ``psi_momentum``, the engine's certified trapezoid; its
-printed 3F2 form (``psi_momentum_closed``) is an oracle, like W's.
+|psi~(p)|^2 that the CLI writes beside each panel and criterion 2 checks.
 
 Both correlation routes cut the tau integral at |tau| = T = 2|chi| plus the
 tail radius of the correlation's envelope beyond 2|chi|, so the discarded
@@ -102,7 +76,7 @@ import numpy as np
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
 from .oscillator import (BoundStateLabel, OscillatorParams, bound_sampler, momentum_decay,
                          psi_bound, psi_momentum, spectral_step)
-from .quadrature import QuadratureSpec, gauss_kronrod_vector
+from .quadrature import QuadratureSpec, gauss_kronrod_vector, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import laguerre, log_gamma
 
@@ -124,7 +98,6 @@ Q_EXTRAP = 0.03         # |pR| below this uses the even-in-q extrapolation
 _F21_MAX_TERMS = 200_000
 _BOUND_MARGIN = 1e-6    # relative slack on |W| <= R/pi before the closed form is rejected
 
-_BLOCK_ELEMENTS = 2 ** 13  # engine temporaries per block of chi rows
 _ORACLE_COMPONENTS = 2 ** 9  # quadrature oracle (chi, p) components per vector integral
 
 
@@ -399,68 +372,26 @@ def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -
 
 def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
                    spec: QuadratureSpec) -> WignerGrid:
-    """Certified engine grid of ``state`` on chi x qs.
-
-    The correlation of a real profile is even in tau, so each grid is one
-    half-line trapezoid sum.  Rows past the state's horizon (``_horizon``)
-    and columns past its momentum cut, where W's bound B_1(|q|)
-    (``momentum_decay``) is within the truncation budget, are 0 and cost
-    nothing; T comes from the largest |chi| of the rows evaluated, and the
-    step h from W's momentum decay at the largest |q| of the columns
-    evaluated (``spectral_step``).  T, h, the nodes and both cos(tau q)
-    matrices are built once per grid; the rows evaluated then go through in
-    blocks of about _BLOCK_ELEMENTS elements per temporary, written into one
-    output array, so the peak memory is the grid's values plus a fixed
-    budget.  The contraction stays ``einsum``: it sums each output element
-    over the nodes in the same order however many rows a block holds, so the
-    bytes do not depend on the block size, and unlike a BLAS product they do
-    not depend on the thread count either.  The midpoint nodes turn the
-    step-h sum into the step-h/2 one, whose values are returned; a
-    discrepancy above max(10 abs_tol, 1e-9 |W|) anywhere raises
-    PrecisionLossError naming the first worst point in row-major order.
-    """
+    """Certified engine grid of ``state`` on chi x qs: the correlation's
+    half-line trapezoid against cos(tau q) (``quadrature.half_line_trapezoid``)
+    on the rows within the state's horizon (``_horizon``) and the columns
+    within its momentum cut (``momentum_decay``), the rest 0; T follows the
+    largest |chi| evaluated and h the largest |q| (``spectral_step``)."""
     f = bound_sampler(state)
     R = state.params.R
-    values = np.zeros((len(chi), len(qs)))
     run = _horizon(f, chi, R, spec)
     cols = _above_budget(momentum_decay(state, 1.0)(np.abs(qs)), spec)
+    values = np.zeros((len(chi), len(qs)))  # after the cuts' axis temporaries are freed
     past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
                 columns_past_horizon=len(qs) - (cols.stop - cols.start))
     if run.start == run.stop or cols.start == cols.stop:
         return WignerGrid(chi, qs, values, state, **past)
-    q_in = qs[cols]
     T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
-    h = spectral_step(float(np.max(np.abs(q_in))), state, 1.0, spec)
-    k = np.arange(int(math.ceil(T / h)) + 1)
-    # (nodes, weights, cos(tau q)) of the step-h sum and of its midpoints
-    coarse_rule, mid_rule = [(taus, weights, np.cos(np.outer(taus, q_in))) for taus, weights in
-                             ((k * h, np.where(k == 0, 1.0, 2.0)), ((k[:-1] + 0.5) * h, 2.0))]
-    scale = R * h / (2.0 * math.pi)
-
-    def half_line_sum(rows, rule):
-        taus, weights, cos = rule
-        corr = f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0)
-        return np.einsum("ik,kj->ij", corr * weights, cos)
-
-    step = max(1, _BLOCK_ELEMENTS // max(len(q_in), len(k)))
-    worst, worst_at, discrepancy = -1.0, (0, 0, 0.0, 0.0), 0.0
-    for start in range(run.start, run.stop, step):
-        rows = chi[start:min(start + step, run.stop)]
-        coarse = scale * half_line_sum(rows, coarse_rule)
-        fine = 0.5 * (coarse + scale * half_line_sum(rows, mid_rule))
-        values[start:start + len(rows), cols] = fine
-        err = np.abs(fine - coarse)
-        bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
-        ratio = err / bound
-        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[i, j] > worst:
-            worst, worst_at = ratio[i, j], (start + i, cols.start + j, err[i, j], bound[i, j])
-        discrepancy = max(discrepancy, float(err.max()))
-    i, j, err_ij, bound_ij = worst_at
-    if err_ij > bound_ij:
-        raise PrecisionLossError(
-            f"spectral grid not certified at chi={chi[i]:.6g}, pR={qs[j]:.6g}: "
-            f"step-halving discrepancy {err_ij:.2e} exceeds {bound_ij:.2e}")
+    h = spectral_step(float(np.max(np.abs(qs[cols]))), state, 1.0, spec)
+    discrepancy = half_line_trapezoid(
+        lambda rows, taus: f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0),
+        chi[run], qs[cols], h, T, np.cos, R * h / (2.0 * math.pi), spec,
+        "spectral grid not certified at chi={r:.6g}, pR={q:.6g}", values[run, cols])
     return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy, **past)
 
 

@@ -29,6 +29,7 @@ from curvedwigner.oscillator import (
     BoundStateLabel,
     OscillatorParams,
     bound_sampler,
+    momentum_decay,
     psi_bound,
     psi_momentum,
 )
@@ -415,6 +416,42 @@ def test_high_modes_exit_with_documented_codes(tmp_path, argv, code):
     assert "Traceback" not in run.stderr
     if code == 3:
         assert "overflows double precision at chi=" in run.stderr
+
+
+def within_certificate(bound):
+    """A bound widened by the engine's step-halving certificate,
+    max(10 abs_tol, 1e-9 |value|), which every written value carries."""
+    return bound + np.maximum(10.0 * QuadratureSpec().abs_tol, 1e-9 * bound)
+
+
+# modes 0, floor(s / 2) and the top normalizable level of each depth
+CONTRACT_STATES = [(0.5, 0)] + [(s, n) for s, top in ((4.2, 4), (30.0, 29), (200.0, 199),
+                                                      (2000.0, 1999))
+                                for n in (0, int(s // 2), top)]
+
+
+@pytest.mark.parametrize("s, n", CONTRACT_STATES)
+def test_cli_contract_across_depths_and_modes(tmp_path, capsys, s, n):
+    # each run exits 0 with every written value within its bound, or exits 3
+    # naming the point (s = 2000, n = 1000: psi's Gegenbauer product overflows
+    # at chi = 0); nothing raises out of main
+    state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+    for command, grid in (("wavefun", "0:2:9,0:8:9"), ("wigner", "0:1:3,0:8:3")):
+        out = tmp_path / command
+        code = main([command, "--s", repr(s), "--n", str(n), "--grid", grid, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 3), err
+        if code == 3:
+            assert "chi=" in err or "pR=" in err, err
+            continue
+        if command == "wavefun":
+            _, (q, re_psit, im_psit, _) = read_csv(out / f"wavefun_momentum_n{n}.csv")
+            with np.errstate(over="ignore"):  # the bound exceeds a double at s = 2000, n = 1999
+                bound = np.exp(momentum_decay(state, 0.5)(np.abs(q)))
+            assert np.all(np.hypot(re_psit, im_psit) <= within_certificate(bound))
+        else:
+            _, (_, _, w) = read_csv(out / f"wigner_n{n}.csv")
+            assert np.all(np.abs(w) <= within_certificate(1.0 / math.pi))
 
 
 class TestWignerCommand:

@@ -1,15 +1,16 @@
 """Peak memory of the grid pipeline, as multiples of the grid's values:
-the engine and the grid CSV work a block of rows at a time and the
-marginals take one temporary, so none of them holds several full-size
-copies of the grid or its text."""
+the engine works blocks of rows and of pR columns, the CSV writers a block
+of values, and the marginals take one temporary, so none of them holds
+several full-size copies of the grid or its text."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from curvedwigner.artifacts import emit_grid_csv
-from curvedwigner.oscillator import BoundStateLabel, OscillatorParams
+from curvedwigner import quadrature
+from curvedwigner.artifacts import emit_csv, emit_grid_csv
+from curvedwigner.oscillator import BoundStateLabel, OscillatorParams, psi_momentum
 from curvedwigner.wigner import (
     marginal_momentum_integrated,
     marginal_position_integrated,
@@ -54,9 +55,48 @@ def test_marginals_peak(traced):
     assert peaks["marginals"] < 2.5 * nbytes
 
 
+def traced_peak(run):
+    """(the result of ``run()``, the traced peak of running it in bytes)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_grid_csv_adds_less_than_the_values(traced):
     nbytes, peaks = traced
     assert peaks["csv"] < 1.0 * nbytes
+
+
+def test_table_csv_adds_less_than_the_values(tmp_path):
+    # two columns of 100 000 rows, formatted a block of rows at a time
+    columns = [np.linspace(0.0, 1.0, 100_000), np.linspace(1.0, 2.0, 100_000)]
+    _, peak = traced_peak(lambda: emit_csv(tmp_path / "t.csv", ["a", "b"], columns))
+    assert peak < 1.0 * sum(c.nbytes for c in columns)
+
+
+# the engine's fixed budget beside its values: two wave matrices of
+# _WAVE_ELEMENTS doubles (one per node set), which hold the cos columns
+WAVE_BYTES = 2 * 8 * quadrature._WAVE_ELEMENTS
+
+
+def test_engine_peak_on_a_long_pR_axis():
+    # 5 x 400 000 (s = 4, n = 0, 29 nodes): the cos columns go in blocks
+    state = BoundStateLabel(0, OscillatorParams.from_depth(4.0))
+    chi, qs = np.linspace(0.0, 3.0, 5), np.linspace(0.0, 8.0, 400_000)
+    grid, peak = traced_peak(lambda: wigner_grid(state, chi, qs))
+    assert peak < grid.values.nbytes + WAVE_BYTES
+
+
+def test_momentum_profile_peak_on_a_long_axis():
+    # 400 000 momenta: the complex values and the odd mode's -i product (the
+    # values' size each), the real sum and its momenta (half each), and one
+    # wave block
+    state = BoundStateLabel(1, OscillatorParams.from_depth(4.0))
+    p = np.linspace(0.0, 8.0, 400_000)
+    psit, peak = traced_peak(lambda: psi_momentum(state, p))
+    assert peak < 3.0 * psit.nbytes + WAVE_BYTES / 2
 
 
 def test_engine_peak_follows_the_state_not_the_axis():

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import gaussian_sampler
 from reference_routes import flat_ho_sampler
-from curvedwigner import artifacts, wigner
+from curvedwigner import artifacts, quadrature, wigner
 from curvedwigner.artifacts import emit_grid_csv, emit_pgm, format_value, read_pgm
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
@@ -368,7 +368,7 @@ def figure1_axes(s, points):
 
 
 def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
-    """The engine as one einsum over every chi row at once: the step-h/2
+    """The engine as one einsum over the whole grid at once: the step-h/2
     values, the step-halving discrepancy and its bound, and the node count."""
     f = bound_sampler(state)
     R = state.params.R
@@ -378,7 +378,7 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
 
     def half_line_sum(taus, weights):
         corr = f(chi[:, None] - taus / 2.0) * f(chi[:, None] + taus / 2.0)
-        return np.einsum("ik,kj->ij", corr * weights, np.cos(np.outer(taus, qs)))
+        return np.einsum("ik,jk->ij", corr * weights, np.cos(np.outer(qs, taus)))
 
     scale = R * h / (2.0 * math.pi)
     coarse = scale * half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
@@ -388,7 +388,9 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
 
 
 def rows_per_block(qs, nodes):
-    return max(1, wigner._BLOCK_ELEMENTS // max(len(qs), nodes))
+    """Rows of one engine block when every wave column fits at once."""
+    assert len(qs) * nodes <= quadrature._WAVE_ELEMENTS
+    return max(1, quadrature._BLOCK_ELEMENTS // max(len(qs), nodes))
 
 
 class TestSpectralEngine:
@@ -396,11 +398,16 @@ class TestSpectralEngine:
         (4.0, 3, np.linspace(0.0, 8.0, 601), np.linspace(0.0, 12.0, 401)),
         (30.0, 0, *figure1_axes(30.0, 256)),
         (4.0, 1, np.linspace(-3.0, 3.0, 97), np.linspace(0.0, 8.0, 9000)),
-    ], ids=["criterion2_s4_n3", "figure1_s30_n0", "one_row_per_block"])
+        (4.0, 0, np.linspace(0.0, 3.0, 4), np.linspace(0.0, 8.0, 60000)),
+    ], ids=["criterion2_s4_n3", "figure1_s30_n0", "one_row_per_block", "column_blocks"])
     def test_row_blocks_equal_whole_grid_einsum(self, s, n, chi, qs):
+        # the bytes do not depend on the blocks of either axis
         state = BoundStateLabel(n, OscillatorParams.from_depth(s))
         fine, err, _, nodes = whole_grid_engine(state, chi, qs)
-        assert len(chi) >= 3 * rows_per_block(qs, nodes)
+        if len(qs) * nodes <= quadrature._WAVE_ELEMENTS:
+            assert len(chi) >= 3 * rows_per_block(qs, nodes)
+        else:  # a wave block holds at most _WAVE_ELEMENTS // nodes columns
+            assert len(qs) >= 3 * (quadrature._WAVE_ELEMENTS // nodes)
         grid = wigner._spectral_grid(state, chi, qs, QuadratureSpec())
         assert grid.values.tobytes() == fine.tobytes()
         assert grid.step_discrepancy == float(err.max())
