@@ -8,13 +8,28 @@ below 1 tighten the suite; the negative control
 1e-3 and expects failures).  A second control,
 ``test_negative_control_perturbed_closed_form``, perturbs the data instead:
 criterion 1 must fail on a closed form scaled by 1 + 3e-5.
+
+``run_all`` spreads the criteria over W processes, W the number of CPUs in
+the process's affinity mask capped at the number of criteria (1 where the
+platform cannot fork, or while a trace or profile function is set).  The
+parent forks W - 1 workers and works as one itself; each process takes the
+next criterion in suite order whenever it comes free, so the results, their
+echo and the report keep suite order whatever W is.  A criterion's
+exception is sent back to the parent and re-raised there with its own type,
+for the earliest criterion that raised, and no later criterion is started.
+Every worker is reaped before ``run_all`` returns or raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
+import signal
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -214,12 +229,13 @@ def criterion_special_functions(tol_scale: float = 1.0) -> CriterionResult:
         lhs = gamma_abs_squared(1j * p) * p * math.sinh(math.pi * p)
         worst_g = max(worst_g, abs(lhs - math.pi) / math.pi)
     worst_c = 0.0
+    xi = np.linspace(-1.0, 1.0, 41)
     for n in range(13):
         for alpha in (0.7, 2.5, 17.3):
-            for xi in np.linspace(-1.0, 1.0, 41):
-                a = gegenbauer(n, alpha, float(xi))
-                b = gegenbauer_2f1_form(n, alpha, float(xi))
-                worst_c = max(worst_c, abs(a - b) / max(1.0, abs(a)))
+            # both forms take the whole axis and give its scalar calls' values bit for bit
+            a = gegenbauer(n, alpha, xi)
+            b = gegenbauer_2f1_form(n, alpha, xi)
+            worst_c = max(worst_c, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(a)))))
     passed = worst_g <= tol_g and worst_c <= tol_c
     return CriterionResult(
         "special_functions", passed,
@@ -431,14 +447,100 @@ ALL_CRITERIA = [
 ]
 
 
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where it cannot fork, and
+    while a trace or profile function is set (a debugger, a coverage tool,
+    a profiler), which would not see the criteria that workers run."""
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _take(criteria, tol_scale, tasks) -> dict:
+    """Run criteria by index, each index read from the pipe ``tasks`` when
+    the last criterion is done, until the pipe is empty; returns {index:
+    CriterionResult, or the Exception the criterion raised}.  The wall time
+    of each criterion goes into its ``data["elapsed_s"]``.  After an
+    exception the pipe is emptied, so no process starts a later criterion."""
+    outcomes = {}
+    while byte := os.read(tasks, 1):
+        i, t0 = byte[0], time.perf_counter()
+        try:
+            outcomes[i] = criteria[i](tol_scale)
+        except Exception as exc:
+            outcomes[i] = exc
+            while os.read(tasks, 256):
+                pass
+        else:
+            outcomes[i].data["elapsed_s"] = time.perf_counter() - t0
+    return outcomes
+
+
+def _serve(criteria, tol_scale, tasks, out):
+    """Body of a forked worker: run criteria from ``tasks``, send the parent
+    {index: (outcome, traceback text of an exception or None)} pickled over
+    the pipe ``out``, and leave by ``os._exit``, never into the caller."""
+    try:
+        outcomes = _take(criteria, tol_scale, tasks)
+        payload = pickle.dumps({
+            i: (o, "".join(traceback.format_exception(o)) if isinstance(o, Exception) else None)
+            for i, o in outcomes.items()})
+        with open(out, "wb") as f:
+            f.write(payload)
+        os._exit(0)
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(1)
+
+
 def run_all(tol_scale: float = 1.0, echo=print):
-    """Run every criterion in order, recording each one's wall time as
-    ``data["elapsed_s"]``; returns (results, all_passed)."""
+    """Run every criterion of ``ALL_CRITERIA`` on W processes (see the module
+    docstring), recording each one's wall time, taken in the process that
+    ran it, as ``data["elapsed_s"]``; returns (results, all_passed) in suite
+    order and echoes each result's line in that order.  W = 1 runs the same
+    loop in this process.  If a criterion raises, the lines before the
+    earliest such criterion are echoed and its exception is raised."""
+    criteria = list(ALL_CRITERIA)
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(criteria))))  # the queue: one byte per index, suite order
+    os.close(feed)
+    workers = {}  # pid -> read end of the worker's result pipe
+    try:
+        for _ in range(min(_usable_cpus(), len(criteria)) - 1):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(criteria, tol_scale, tasks, out_w)
+            os.close(out_w)
+            workers[pid] = out_r
+        outcomes = {i: (o, None) for i, o in _take(criteria, tol_scale, tasks).items()}
+        for pid, out_r in list(workers.items()):
+            with open(out_r, "rb", closefd=False) as f:
+                payload = f.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            os.close(out_r)
+            if status != 0 or not payload:
+                raise RuntimeError(f"verify worker {pid} ended with exit code "
+                                   f"{os.waitstatus_to_exitcode(status)} before sending its results")
+            outcomes.update(pickle.loads(payload))
+    finally:
+        os.close(tasks)
+        for pid, out_r in workers.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(out_r)
     results = []
-    for fn in ALL_CRITERIA:
-        t0 = time.perf_counter()
-        res = fn(tol_scale)
-        res.data["elapsed_s"] = time.perf_counter() - t0
+    for i in range(len(criteria)):
+        res, worker_traceback = outcomes[i]
+        if isinstance(res, Exception):
+            if worker_traceback is None:
+                raise res
+            raise res from RuntimeError(f"in a verify worker:\n{worker_traceback}")
         results.append(res)
         if echo:
             echo(res.line)

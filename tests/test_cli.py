@@ -2,8 +2,10 @@ import argparse
 import json
 import math
 import os
+import select
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from curvedwigner.cli import (
     run_wavefun,
     run_wigner,
 )
-from curvedwigner.errors import ConfigError
+from curvedwigner.errors import ConfigError, PrecisionLossError
 from curvedwigner.geometry import shapiro_forward_1d
 from curvedwigner.oscillator import (
     BoundStateLabel,
@@ -605,6 +607,47 @@ def test_default_figure1_marginals_match_exact_densities(default_figure1):
     assert not bad, f"largest miss {max(bad.values()):.3g} in {max(bad, key=bad.get)}"
 
 
+def _without_times(results):
+    return [(r.name, r.passed, r.detail, {k: v for k, v in r.data.items() if k != "elapsed_s"})
+            for r in results]
+
+
+@pytest.fixture(scope="module")
+def direct_verify_results():
+    """Every criterion called directly, in suite order, without its times."""
+    from curvedwigner import verify as vf
+
+    return _without_times([fn(1.0) for fn in vf.ALL_CRITERIA])
+
+
+@pytest.fixture
+def toy_pair(monkeypatch):
+    """Patches in W = 2 and two toy criteria, one per process: the worker's
+    calls ``in_worker()``; the parent's waits (30 s at most) until the worker
+    has begun its own, then calls ``in_parent()``."""
+    from curvedwigner import verify as vf
+
+    parent, fds = os.getpid(), []
+    monkeypatch.setattr(vf, "_usable_cpus", lambda: 2)
+
+    def patch(in_worker, in_parent):
+        begun_r, begun_w = os.pipe()
+        fds.extend((begun_r, begun_w))
+
+        def toy(tol_scale):
+            if os.getpid() != parent:
+                os.write(begun_w, b"1")
+                return in_worker()
+            select.select([begun_r], [], [], 30.0)
+            return in_parent()
+
+        monkeypatch.setattr(vf, "ALL_CRITERIA", [toy, toy])
+
+    yield patch
+    for fd in fds:
+        os.close(fd)
+
+
 class TestVerifyPlumbing:
     def test_exit_one_when_any_criterion_fails(self, monkeypatch, tmp_path):
         from curvedwigner import verify as vf
@@ -654,3 +697,63 @@ class TestVerifyPlumbing:
         tightened = criterion_geometry(1e-3)
         assert nominal.passed and not tightened.passed
         assert tightened.data == nominal.data
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_run_all_equals_direct_calls(self, monkeypatch, direct_verify_results, cpus):
+        # W = 1 runs every criterion in this process, W = 3 in it and two workers
+        from curvedwigner import verify as vf
+
+        monkeypatch.setattr(vf, "_usable_cpus", lambda: cpus)
+        lines, echo = collect()
+        results, ok = vf.run_all(echo=echo)
+        assert _without_times(results) == direct_verify_results
+        assert lines == [r.line for r in results]
+        assert ok == all(r.passed for r in results)
+        assert all(r.data["elapsed_s"] >= 0.0 for r in results)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_error_keeps_its_type_and_exit_code(self, toy_pair, tmp_path):
+        from curvedwigner import verify as vf
+
+        def not_certified():
+            raise PrecisionLossError("toy criterion not certified")
+
+        def passing():
+            return vf.CriterionResult("toy_pass", True, "ok")
+
+        toy_pair(not_certified, passing)
+        with pytest.raises(PrecisionLossError, match="toy criterion") as info:
+            vf.run_all(echo=None)
+        assert "in a verify worker" in str(info.value.__cause__)
+        toy_pair(not_certified, passing)
+        assert main(["verify", "--out", str(tmp_path)]) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_reaps_a_busy_worker(self, toy_pair):
+        from curvedwigner import verify as vf
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        toy_pair(lambda: time.sleep(30.0), interrupt)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            vf.run_all(echo=None)
+        assert time.perf_counter() - t0 < 10.0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_criterion_starts_after_one_raises(self, monkeypatch):
+        from curvedwigner import verify as vf
+
+        def not_certified(tol_scale):
+            raise PrecisionLossError("toy criterion not certified")
+
+        started = []
+        monkeypatch.setattr(vf, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(vf, "ALL_CRITERIA", [not_certified, started.append])
+        with pytest.raises(PrecisionLossError):
+            vf.run_all(echo=None)
+        assert started == []

@@ -90,13 +90,22 @@ def test_engine_peak_on_a_long_pR_axis():
 
 
 def test_momentum_profile_peak_on_a_long_axis():
-    # 400 000 momenta: the complex values and the odd mode's -i product (the
-    # values' size each), the real sum and its momenta (half each), and one
-    # wave block
+    # 400 000 momenta: the complex values, the real sum and its momenta (half
+    # the values' size each) and one wave block, with the values' size to spare
     state = BoundStateLabel(1, OscillatorParams.from_depth(4.0))
     p = np.linspace(0.0, 8.0, 400_000)
     psit, peak = traced_peak(lambda: psi_momentum(state, p))
     assert peak < 3.0 * psit.nbytes + WAVE_BYTES / 2
+
+
+def test_odd_momentum_profile_has_no_complex_temporary():
+    # s = 4, n = 3 on 400 000 momenta: the -i goes into the values'
+    # imaginary parts in place, so the complex values, the real sum and its
+    # momenta (half the values' size each) and one wave block are all
+    state = BoundStateLabel(3, OscillatorParams.from_depth(4.0))
+    p = np.linspace(0.0, 8.0, 400_000)
+    psit, peak = traced_peak(lambda: psi_momentum(state, p))
+    assert peak < 2.0 * psit.nbytes + WAVE_BYTES / 2
 
 
 def test_engine_peak_follows_the_state_not_the_axis():
