@@ -5,14 +5,15 @@ Identical inputs must produce byte-identical files, so every number is
 formatted with repr-faithful precision (17 significant digits), no
 timestamps are recorded, and JSON keys are sorted.
 
-Both CSV routes share one writer and convert each value they are given to
-text once: a column is formatted in a single pass, and a grid file formats
-each chi and each pR axis value once per file (not once per point) beside
-one conversion per W value.  The writer takes the text a block of rows at
-a time and writes each block as it comes, and both routes format a block
-at a time (a grid file whole chi rows, or pieces of a long one), so a
-file's text is never held whole: the peak memory of either route is its
-values plus a fixed block of text.  Checksums read files in chunks.
+Both CSV routes write text pieces of at most _CSV_BLOCK_POINTS table
+rows or grid values, each formed by one ``%`` of a line template: a table
+repeats its one-row template over a block of rows; a grid file forms each
+pR value's text once into one template per piece of the pR axis, and each
+chi row fills in its chi text and its W values.  A file's text is never
+held whole: beside its values a table holds one block of text, a grid
+file the text of its pR axis.  The PGM quantises a block of rows at a
+time.  Every writer rejects non-finite data before it opens its file;
+checksums read files in chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "validate_manifest",
 ]
 
-_CSV_BLOCK_POINTS = 2 ** 11  # values (table rows, or grid values) formatted per block
+_CSV_BLOCK_POINTS = 2 ** 11  # values (table rows, or grid values) per formatted or quantised block
 
 
 def format_value(v: float) -> str:
@@ -46,26 +47,20 @@ def format_value(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _format_column(values) -> list[str]:
-    """format_value of every entry, byte for byte, in one pass."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("CSV data must be finite")
-    return [format(v, ".17g") for v in values.tolist()]
+def _require_finite(*arrays):
+    """Raise ValueError, before any file is opened, unless all entries are
+    finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("artifact data must be finite")
 
 
-def _write_csv(path: Path, column_names, blocks, comments) -> Path:
+def _write_csv(path: Path, header, comments, pieces) -> Path:
     """The one CSV writer: '#'-prefixed comment lines, one header row, then
-    each block (equal-length columns of formatted numbers) joined row by
-    row and written as it comes."""
+    each text piece as it comes."""
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
-        fh.write(",".join(column_names) + "\n")
-        for text_columns in blocks:
-            text = "\n".join(map(",".join, zip(*text_columns)))
-            if text:
-                fh.write(text)
-                fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(pieces)
     return path
 
 
@@ -79,35 +74,33 @@ def emit_csv(path, column_names, columns, comments=()) -> Path:
     length = len(cols[0])
     if any(len(c) != length for c in cols):
         raise ValueError("columns must have equal length")
-    if not all(np.isfinite(c).all() for c in cols):  # before the file is opened
-        raise ValueError("CSV data must be finite")
-    blocks = ([_format_column(c[start:start + _CSV_BLOCK_POINTS]) for c in cols]
+    _require_finite(*cols)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"  # "%.17g" % x == format_value(x)
+    blocks = (np.column_stack([c[start:start + _CSV_BLOCK_POINTS] for c in cols])
               for start in range(0, length, _CSV_BLOCK_POINTS))
-    return _write_csv(Path(path), column_names, blocks, comments)
+    pieces = (row * len(b) % tuple(b.reshape(-1).tolist()) for b in blocks)
+    return _write_csv(Path(path), column_names, comments, pieces)
 
 
 def emit_grid_csv(grid: WignerGrid, path) -> Path:
     """Grid values in row-major chi-outer order with axis columns
     (chi dimensionless, pR dimensionless, W in units of 1/(dchi dp)),
-    formatted and written about _CSV_BLOCK_POINTS values at a time: whole
-    chi rows, or pieces of one row when a row holds more."""
-    nc, nq = grid.values.shape
-    chi = _format_column(grid.chi_axis)
-    q = _format_column(grid.pR_axis)
-    step, width = max(1, _CSV_BLOCK_POINTS // nq), min(nq, _CSV_BLOCK_POINTS)
-
-    def blocks():
-        for start in range(0, nc, step):
-            rows = chi[start:start + step]
-            for col in range(0, nq, width):
-                cols = q[col:col + width]
-                yield ([c for c in rows for _ in cols], cols * len(rows), _format_column(
-                    grid.values[start:start + step, col:col + width].reshape(-1)))
-
+    formatted and written a chi row at a time, in pieces of at most
+    _CSV_BLOCK_POINTS values."""
+    chi, q, v = grid.chi_axis, grid.pR_axis, grid.values
+    _require_finite(chi, q, v)
+    # one line template per piece of the pR axis, each pR formatted once per
+    # file: "C" (in no number's text) stands for chi, "%.17g" is W's slot
+    templates = [(col, "".join("C,%.17g,%%.17g\n" % p
+                               for p in q[col:col + _CSV_BLOCK_POINTS].tolist()))
+                 for col in range(0, len(q), _CSV_BLOCK_POINTS)]
+    pieces = (template.replace("C", "%.17g" % c)
+              % tuple(v[i, col:col + _CSV_BLOCK_POINTS].tolist())
+              for i, c in enumerate(chi.tolist()) for col, template in templates)
     state = grid.state
     meta = ["evaluator=spectral",
             f"n={state.n} s={format_value(state.s)} R={format_value(state.params.R)}"]
-    return _write_csv(Path(path), ["chi", "pR", "W"], blocks(), meta)
+    return _write_csv(Path(path), ["chi", "pR", "W"], meta, pieces)
 
 
 def read_csv(path):
@@ -127,17 +120,15 @@ def read_csv(path):
     return names, [data[:, i] for i in range(len(names))]
 
 
-def _mirror_index(axis: np.ndarray):
-    """The axis mirrored about 0 when it starts at or above 0 (its 0 entry
-    kept once), with the index of each new entry into the old axis; an axis
-    that already spans negative values stands as it is (as the marginals'
-    fold treats it)."""
+def _mirror_index(axis: np.ndarray) -> np.ndarray:
+    """Index into the axis of each entry of the axis mirrored about 0 when
+    it starts at or above 0 (its 0 entry kept once); an axis that already
+    spans negative values stands as it is (as the marginals' fold treats
+    it)."""
     idx = np.arange(len(axis))
     if axis[0] < -1e-12:
-        return axis, idx
-    drop = 1 if abs(axis[0]) <= 1e-12 else 0
-    return (np.concatenate([-axis[::-1], axis[drop:]]),
-            np.concatenate([idx[::-1], idx[drop:]]))
+        return idx
+    return np.concatenate([idx[::-1], idx[1 if abs(axis[0]) <= 1e-12 else 0:]])
 
 
 def emit_pgm(grid: WignerGrid, path) -> Path:
@@ -155,26 +146,27 @@ def emit_pgm(grid: WignerGrid, path) -> Path:
     """
     path = Path(path)
     v = grid.values
+    _require_finite(grid.chi_axis, grid.pR_axis, v)
     vmin, vmax = float(v.min()), float(v.max())
+    levels = np.full(v.shape, 128, dtype=np.uint8)
+    zero_gray = 128
     if vmax > vmin:
-        t = v - vmin  # 255 (v - vmin) / (vmax - vmin), in place and in that order
-        t *= 255.0
-        t /= vmax - vmin
-        levels = np.rint(t, out=t).astype(np.uint8)
+        step = max(1, _CSV_BLOCK_POINTS // v.shape[1])
+        for start in range(0, len(v), step):
+            t = v[start:start + step] - vmin  # 255 (v - vmin) / (vmax - vmin), in that order
+            t *= 255.0
+            t /= vmax - vmin
+            levels[start:start + step] = np.rint(t, out=t)
         # mapped level of value 0, possibly outside [0, 255] when 0 is
         # outside the data range (recorded unclamped)
         zero_gray = int(np.rint(255.0 * (0.0 - vmin) / (vmax - vmin)))
-    else:
-        levels = np.full_like(v, 128, dtype=np.uint8)
-        zero_gray = 128
-    _, rows = _mirror_index(grid.chi_axis)
-    _, cols = _mirror_index(grid.pR_axis)
+    rows, cols = _mirror_index(grid.chi_axis), _mirror_index(grid.pR_axis)
     img = levels.T[np.ix_(cols[::-1], rows)]  # rows: pR descending; cols: chi ascending
     header = (f"P5\n# min={format_value(vmin)} max={format_value(vmax)} zero_gray={zero_gray}\n"
               f"{img.shape[1]} {img.shape[0]}\n255\n")
     with path.open("wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(img)
     return path
 
 

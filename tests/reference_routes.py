@@ -10,15 +10,21 @@ a route that is:
   ``flat_ho_wigner`` can be checked against ``wigner_quadrature_1d``;
 * ``bargmann_angle``: ``boost_direction`` on the circle;
 * ``shapiro_inverse_1d``: the round trip of ``shapiro_forward_1d``;
-* ``hyperbolic_angle``: the round trip of ``ambient_from_angle``.
+* ``hyperbolic_angle``: the round trip of ``ambient_from_angle``;
+* ``emit_csv_columnwise``, ``emit_grid_csv_columnwise`` and
+  ``emit_pgm_whole``: the bytes of ``emit_csv``, ``emit_grid_csv`` and
+  ``emit_pgm``, through text columns joined row by row and a grid
+  quantised whole.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
+from curvedwigner.artifacts import format_value
 from curvedwigner.geometry import (
     AmbientVector,
     HyperbolicAngleCoord,
@@ -149,3 +155,96 @@ def hyperbolic_angle(x: AmbientVector, radius: float) -> HyperbolicAngleCoord:
     apex[0] = 1.0  # any direction will do at the apex; take the first axis
     xi = np.where(_col(r == 0.0), apex, x.xs / _col(np.where(r == 0.0, 1.0, r)))
     return HyperbolicAngleCoord(np.arcsinh(r / radius), xi)
+
+
+_BLOCK_POINTS = 2 ** 11
+
+
+def _format_column(values) -> list[str]:
+    """format_value of every entry, byte for byte, in one pass."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("CSV data must be finite")
+    return [format(v, ".17g") for v in values.tolist()]
+
+
+def _write_csv_columns(path: Path, column_names, blocks, comments) -> Path:
+    """Comment lines, one header row, then each block (equal-length columns
+    of formatted numbers) joined row by row."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(column_names) + "\n")
+        for text_columns in blocks:
+            text = "\n".join(map(",".join, zip(*text_columns)))
+            if text:
+                fh.write(text)
+                fh.write("\n")
+    return path
+
+
+def emit_csv_columnwise(path, column_names, columns, comments=()) -> Path:
+    """emit_csv with each column formatted in one pass and the text columns
+    zipped into rows."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    blocks = ([_format_column(c[start:start + _BLOCK_POINTS]) for c in cols]
+              for start in range(0, len(cols[0]), _BLOCK_POINTS))
+    return _write_csv_columns(Path(path), column_names, blocks, comments)
+
+
+def emit_grid_csv_columnwise(grid, path) -> Path:
+    """emit_grid_csv with the chi, pR and W text columns of each block of
+    whole chi rows (or pieces of a long one) zipped into rows."""
+    nc, nq = grid.values.shape
+    chi = _format_column(grid.chi_axis)
+    q = _format_column(grid.pR_axis)
+    step, width = max(1, _BLOCK_POINTS // nq), min(nq, _BLOCK_POINTS)
+
+    def blocks():
+        for start in range(0, nc, step):
+            rows = chi[start:start + step]
+            for col in range(0, nq, width):
+                cols = q[col:col + width]
+                yield ([c for c in rows for _ in cols], cols * len(rows), _format_column(
+                    grid.values[start:start + step, col:col + width].reshape(-1)))
+
+    state = grid.state
+    meta = ["evaluator=spectral",
+            f"n={state.n} s={format_value(state.s)} R={format_value(state.params.R)}"]
+    return _write_csv_columns(Path(path), ["chi", "pR", "W"], blocks(), meta)
+
+
+def _mirror(axis: np.ndarray):
+    """The axis mirrored about 0 when it starts at or above 0 (its 0 entry
+    kept once), with the index of each new entry into the old axis."""
+    idx = np.arange(len(axis))
+    if axis[0] < -1e-12:
+        return axis, idx
+    drop = 1 if abs(axis[0]) <= 1e-12 else 0
+    return (np.concatenate([-axis[::-1], axis[drop:]]),
+            np.concatenate([idx[::-1], idx[drop:]]))
+
+
+def emit_pgm_whole(grid, path) -> Path:
+    """emit_pgm with the whole grid quantised in one float temporary and the
+    mirrored image copied to bytes."""
+    path = Path(path)
+    v = grid.values
+    vmin, vmax = float(v.min()), float(v.max())
+    if vmax > vmin:
+        t = v - vmin
+        t *= 255.0
+        t /= vmax - vmin
+        levels = np.rint(t, out=t).astype(np.uint8)
+        zero_gray = int(np.rint(255.0 * (0.0 - vmin) / (vmax - vmin)))
+    else:
+        levels = np.full_like(v, 128, dtype=np.uint8)
+        zero_gray = 128
+    _, rows = _mirror(grid.chi_axis)
+    _, cols = _mirror(grid.pR_axis)
+    img = levels.T[np.ix_(cols[::-1], rows)]
+    header = (f"P5\n# min={format_value(vmin)} max={format_value(vmax)} zero_gray={zero_gray}\n"
+              f"{img.shape[1]} {img.shape[0]}\n255\n")
+    with path.open("wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(img.tobytes())
+    return path

@@ -17,6 +17,7 @@ from curvedwigner.artifacts import (
 from curvedwigner.errors import ConfigError
 from curvedwigner.oscillator import BoundStateLabel, OscillatorParams
 from curvedwigner.wigner import WignerGrid
+from reference_routes import emit_csv_columnwise, emit_grid_csv_columnwise, emit_pgm_whole
 
 S4_N0 = BoundStateLabel(0, OscillatorParams.from_depth(4.0))
 
@@ -152,6 +153,104 @@ class TestPgm:
         assert float(fields["min"]) == -0.25
         assert float(fields["max"]) == 0.5
         assert px.shape == (4, 3)
+
+
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1.0 / 3.0, -1.0 / 3.0,
+        1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _grids():
+    """Synthetic grids by case, for both grid writers."""
+    rng = np.random.default_rng(17)
+    lin = np.linspace
+    cases = {
+        "edge_values": ([-1.0, 0.0, 1.0 / 3.0], [-1.0 / 3.0, -0.1, 0.0, 5e-324, 0.1],
+                        np.array(EDGE[:8] + [2.0 ** -40, 1e-300] + [-x for x in EDGE[:4]]
+                                 + [1.0]).reshape(3, 5)),
+        "rows_longer_than_block": (lin(0.0, 3.0, 3), lin(0.0, 8.0, 5000), rng.normal(size=(3, 5000))),
+        "columns_2049": (lin(0.0, 1.0, 4), lin(0.0, 8.0, 2049), rng.normal(size=(4, 2049))),
+        "constant": (lin(0.0, 2.0, 4), lin(0.0, 3.0, 5), np.full((4, 5), 0.7)),
+        "positive_values": (lin(0.0, 2.0, 6), lin(0.0, 3.0, 7), rng.uniform(1.0, 2.0, (6, 7))),
+        "negative_axes": (lin(-2.0, 3.0, 7), lin(-8.0, 8.0, 9), rng.normal(size=(7, 9))),
+        "start_1e-13": (1e-13 + lin(0.0, 3.0, 6), 1e-13 + lin(0.0, 8.0, 7),
+                        rng.normal(size=(6, 7))),
+        "start_1e-12": (1e-12 + lin(0.0, 3.0, 6), 1e-12 + lin(0.0, 8.0, 7),
+                        rng.normal(size=(6, 7))),
+        "start_2e-12": (2e-12 + lin(0.0, 3.0, 6), 2e-12 + lin(0.0, 8.0, 7),
+                        rng.normal(size=(6, 7))),
+    }
+    return {name: WignerGrid(np.asarray(chi, dtype=float), np.asarray(q, dtype=float),
+                             values, BoundStateLabel(2, OscillatorParams.from_depth(4.0, R=1.5)))
+            for name, (chi, q, values) in cases.items()}
+
+
+GRIDS = _grids()
+# the PGM's value range must stay finite, so the largest doubles go to the CSV only
+CSV_GRIDS = dict(GRIDS, largest_double=WignerGrid(
+    np.arange(3.0), np.arange(4.0), np.array(EDGE + EDGE[:2]).reshape(3, 4), S4_N0))
+
+
+class TestBytesEqualReference:
+    """Every writer's bytes equal the column-joining CSV writers' and the
+    whole-grid PGM writer's in reference_routes."""
+
+    @pytest.mark.parametrize("columns", [
+        [EDGE, EDGE[::-1]],
+        [EDGE],
+        [np.random.default_rng(2).normal(size=5000) * 10.0 ** np.arange(-150, 150, 0.06)] * 3,
+        [[], []],
+    ], ids=["edge_values", "one_column", "more_rows_than_block", "no_rows"])
+    def test_csv(self, tmp_path, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        new = emit_csv(tmp_path / "new.csv", names, columns, comments=["one", "two"])
+        ref = emit_csv_columnwise(tmp_path / "ref.csv", names, columns, comments=["one", "two"])
+        assert new.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(CSV_GRIDS))
+    def test_grid_csv(self, tmp_path, case):
+        grid = CSV_GRIDS[case]
+        new = emit_grid_csv(grid, tmp_path / "new.csv")
+        assert new.read_bytes() == emit_grid_csv_columnwise(grid, tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(GRIDS))
+    def test_pgm(self, tmp_path, case):
+        new = emit_pgm(GRIDS[case], tmp_path / "new.pgm")
+        assert new.read_bytes() == emit_pgm_whole(GRIDS[case], tmp_path / "ref.pgm").read_bytes()
+
+    def test_cases_cover_each_mirroring(self, tmp_path):
+        # axes kept as they stand, mirrored with their 0 written once, and
+        # mirrored in full
+        shapes = {case: read_pgm(emit_pgm(GRIDS[case], tmp_path / f"{case}.pgm"))[:2]
+                  for case in ("negative_axes", "start_1e-13", "start_1e-12", "start_2e-12")}
+        assert shapes == {"negative_axes": (7, 9), "start_1e-13": (11, 13),
+                          "start_1e-12": (11, 13), "start_2e-12": (12, 14)}
+
+
+class TestNonFinite:
+    """A writer given a non-finite number raises ValueError before its file
+    exists, wherever the number sits."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_table_csv(self, tmp_path, bad):
+        column = np.linspace(0.0, 1.0, 5000)
+        column[3000] = bad
+        with pytest.raises(ValueError):
+            emit_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(5000), column])
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("writer", [emit_grid_csv, emit_pgm])
+    @pytest.mark.parametrize("attr, index, bad", [
+        ("values", (250, 3), np.nan), ("values", (0, 0), -np.inf),
+        ("chi_axis", -1, np.inf), ("pR_axis", -1, np.inf)],
+        ids=["nan_in_row_250", "minus_inf_first", "inf_chi", "inf_pR"])
+    def test_grid_writers(self, tmp_path, writer, attr, index, bad):
+        rng = np.random.default_rng(0)
+        grid = WignerGrid(np.linspace(0.0, 3.0, 300), np.linspace(0.0, 8.0, 20),
+                          rng.normal(size=(300, 20)), S4_N0)
+        getattr(grid, attr)[index] = bad  # WignerGrid checked its values when built
+        with pytest.raises(ValueError):
+            writer(grid, tmp_path / "g.out")
+        assert not (tmp_path / "g.out").exists()
 
 
 class TestManifest:

@@ -1,7 +1,8 @@
 """Peak memory of the grid pipeline, as multiples of the grid's values:
-the engine works blocks of rows and of pR columns, the CSV writers a block
-of values, and the marginals take one temporary, so none of them holds
-several full-size copies of the grid or its text."""
+the engine works blocks of rows and of pR columns, the CSV writers and the
+PGM's quantisation a block of values, and the marginals take one
+temporary, so none of them holds several full-size copies of the grid or
+its text."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from curvedwigner import quadrature
-from curvedwigner.artifacts import emit_csv, emit_grid_csv
+from curvedwigner.artifacts import emit_csv, emit_grid_csv, emit_pgm
 from curvedwigner.oscillator import BoundStateLabel, OscillatorParams, psi_momentum
 from curvedwigner.wigner import (
     marginal_momentum_integrated,
@@ -74,6 +75,27 @@ def test_table_csv_adds_less_than_the_values(tmp_path):
     columns = [np.linspace(0.0, 1.0, 100_000), np.linspace(1.0, 2.0, 100_000)]
     _, peak = traced_peak(lambda: emit_csv(tmp_path / "t.csv", ["a", "b"], columns))
     assert peak < 1.0 * sum(c.nbytes for c in columns)
+
+
+@pytest.fixture(scope="module")
+def long_grid():
+    """The s = 4, n = 0 grid of ``wigner --grid 0:3:5,0:8:400000``."""
+    state = BoundStateLabel(0, OscillatorParams.from_depth(4.0))
+    return wigner_grid(state, np.linspace(0.0, 3.0, 5), np.linspace(0.0, 8.0, 400_000))
+
+
+def test_long_grid_csv_adds_less_than_the_values(long_grid, tmp_path):
+    # the pR values' text, formed once into the line templates (about 0.7 of
+    # the values), and one piece of a row
+    _, peak = traced_peak(lambda: emit_grid_csv(long_grid, tmp_path / "g.csv"))
+    assert peak < 1.0 * long_grid.values.nbytes
+
+
+def test_long_grid_pgm_adds_less_than_one_and_a_half_values(long_grid, tmp_path):
+    # the levels (0.125 of the values), the 9 x 799 999 mirrored image
+    # (0.45), its pR index (0.4) and one block of rows (0.2)
+    _, peak = traced_peak(lambda: emit_pgm(long_grid, tmp_path / "g.pgm"))
+    assert peak < 1.5 * long_grid.values.nbytes
 
 
 # the engine's fixed budget beside its values: two wave matrices of

@@ -671,8 +671,11 @@ class TestMarginals:
 
     def test_full_plane_grid_not_double_counted(self, marginal_grid):
         state, grid = marginal_grid
-        chi_f, rows = artifacts._mirror_index(grid.chi_axis)
-        q_f, cols = artifacts._mirror_index(grid.pR_axis)
+        rows = artifacts._mirror_index(grid.chi_axis)
+        cols = artifacts._mirror_index(grid.pR_axis)
+        # both axes start at 0, which the mirrored axis keeps once
+        chi_f = np.concatenate([-grid.chi_axis[::-1], grid.chi_axis[1:]])
+        q_f = np.concatenate([-grid.pR_axis[::-1], grid.pR_axis[1:]])
         full = WignerGrid(chi_f, q_f, grid.values[np.ix_(rows, cols)], grid.state)
         assert total_probability(full) == pytest.approx(
             total_probability(grid), rel=1e-10)
