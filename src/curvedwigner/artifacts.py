@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .wigner import WignerGrid
 
@@ -197,9 +198,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, files, config_echo: dict, library_version: str) -> Path:
+def write_manifest(out_dir, files, config_echo: dict) -> Path:
     """Record every artifact with kind and SHA-256, plus the configuration
-    that produced it.  Paths are stored relative to the manifest."""
+    and library version that produced it.  Paths are relative to the manifest."""
     out_dir = Path(out_dir)
     entries = []
     for path, kind in files:
@@ -212,7 +213,7 @@ def write_manifest(out_dir, files, config_echo: dict, library_version: str) -> P
     doc = {
         "files": sorted(entries, key=lambda e: e["path"]),
         "config": config_echo,
-        "library_version": library_version,
+        "library_version": __version__,
     }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")

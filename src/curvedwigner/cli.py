@@ -246,7 +246,7 @@ def run_wavefun(config: RunConfig) -> Path:
                       [qs, psit.real, psit.imag, psit.real ** 2 + psit.imag ** 2],
                       comments=label)
         files += [(f1, "wavefun_csv"), (f2, "wavefun_momentum_csv")]
-    return write_manifest(out, files, _config_echo(config), __version__)
+    return write_manifest(out, files, _config_echo(config))
 
 
 def _write_panels(config: RunConfig, panels) -> Path:
@@ -267,7 +267,7 @@ def _write_panels(config: RunConfig, panels) -> Path:
         if "pgm" in config.formats:
             files.append((emit_pgm(grid, out / f"{stem}.pgm"), "wigner_pgm"))
         del grid  # one grid alive at a time
-    return write_manifest(out, files, _config_echo(config), __version__)
+    return write_manifest(out, files, _config_echo(config))
 
 
 def run_wigner(config: RunConfig) -> Path:
@@ -373,4 +373,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # so that verify's ``from .cli import`` reuses this module, not a second copy
+    sys.modules.setdefault("curvedwigner.cli", sys.modules[__name__])
     sys.exit(main())

@@ -28,7 +28,7 @@ from .quadrature import QuadratureSpec, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
     gamma_abs_squared,
-    gegenbauer,
+    gegenbauer_scaled,
     hermite,
     hyper_3f2_terminating,
     legendre_imag_mu,
@@ -171,9 +171,14 @@ def psi_bound(state: BoundStateLabel, chi):
 
         psi_n(chi) = N (2 sech chi)^(s-n) C_n^{s-n+1/2}(tanh chi),
 
-    evaluated with a log-space prefactor so large depths do not overflow.
-    Accepts scalars or arrays.  The first chi where the product is not finite
-    (C_n^alpha overflows where sech^sigma underflows) raises PrecisionLossError.
+    evaluated with a log-space prefactor exp(L) and the Gegenbauer factor
+    carried as ldexp(m, e) (``gegenbauer_scaled``), so large depths neither
+    overflow nor stop where C_n^alpha passes the double range while
+    sech^sigma underflows.  Where exp(L) is a normal double the value is
+    ldexp(exp(L) m, e), the bits of exp(L) C_n^alpha wherever that product
+    is a normal double; elsewhere it is exp(L + e log 2) m.  Accepts scalars
+    or arrays.  The first chi where the value is not finite raises
+    PrecisionLossError.
     """
     chi_arr = np.asarray(chi, dtype=float)
     sig = state.sigma
@@ -183,11 +188,17 @@ def psi_bound(state: BoundStateLabel, chi):
     else:  # cosh overflows past |chi| ~ 710, where log cosh = |chi| - log 2 to the last bit
         log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
                             np.log(np.cosh(np.minimum(dist, 700.0))))
-    log_env = sig * (math.log(2.0) - log_cosh)
+    log_pref = state.log_norm + sig * (math.log(2.0) - log_cosh)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.exp(state.log_norm + log_env) * gegenbauer(state.n, sig + 0.5, np.tanh(chi_arr))
+        m, e = gegenbauer_scaled(state.n, sig + 0.5, np.tanh(chi_arr))
+        pref = np.exp(log_pref)
+        if not e.any():  # no rescaling happened: m is C_n^alpha
+            vals = pref * m
+        else:
+            vals = np.where(pref >= np.finfo(float).tiny, np.ldexp(pref * m, e),
+                            np.exp(log_pref + e * math.log(2.0)) * m)
     if not np.isfinite(vals).all():
-        raise PrecisionLossError(f"psi_{state.n} at s={state.s:g} overflows double precision at chi="
+        raise PrecisionLossError(f"psi_{state.n} at s={state.s:g} is not finite at chi="
                                  f"{chi_arr.ravel()[np.argmin(np.isfinite(vals).ravel())]:.6g}")
     return vals if vals.ndim else float(vals)
 

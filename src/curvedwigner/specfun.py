@@ -26,6 +26,7 @@ __all__ = [
     "gauss_2f1",
     "hyper_3f2_terminating",
     "gegenbauer",
+    "gegenbauer_scaled",
     "gegenbauer_2f1_form",
     "hermite",
     "laguerre",
@@ -160,16 +161,26 @@ def hyper_3f2_terminating(
     return tot
 
 
-def gegenbauer(n: int, alpha: float, xi: float) -> float:
-    """Gegenbauer (ultraspherical) polynomial C_n^alpha(xi) by the
-    three-term recurrence, in place on three arrays (at n ~ 2000 allocating
-    each step's temporaries cost more than its arithmetic); ``xi`` may be a
-    scalar or an array."""
+_GEGENBAUER_RESCALE = 16  # recurrence steps between rescalings of the carried terms
+
+
+def gegenbauer_scaled(n: int, alpha: float, xi):
+    """C_n^alpha(xi) = ldexp(m, e) as a float array m and an int64 array e
+    of the shape of ``xi`` (a scalar or an array), so that values past the
+    double range are carried.
+
+    The three-term recurrence runs in place on three arrays (at n ~ 2000
+    allocating each step's temporaries cost more than its arithmetic).
+    Every 16 steps both carried terms are divided by the power of two of
+    the larger one and e takes that power.  Powers of two are exact, so
+    ldexp(m, e) is the unscaled recurrence's value bit for bit wherever
+    that is a normal double.  Below n = 16, e is 0."""
     if n < 0:
         raise ValueError("n must be a non-negative integer")
-    if n == 0:
-        return 1.0
     xi = np.asarray(xi, dtype=float)
+    e = np.zeros(xi.shape, dtype=np.int64)
+    if n == 0:
+        return np.ones_like(xi), e
     prev, cur, nxt = np.ones_like(xi), np.array(2.0 * alpha * xi), np.empty_like(xi)
     for k in range(2, n + 1):
         # (2 (k + alpha - 1) xi cur - (k + 2 alpha - 2) prev) / k, in that order
@@ -179,6 +190,21 @@ def gegenbauer(n: int, alpha: float, xi: float) -> float:
         nxt -= prev
         nxt /= k
         prev, cur, nxt = cur, nxt, prev
+        if k % _GEGENBAUER_RESCALE == 0:
+            _, shift = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            np.ldexp(cur, -shift, out=cur)
+            np.ldexp(prev, -shift, out=prev)
+            e += shift
+    return cur, e
+
+
+def gegenbauer(n: int, alpha: float, xi: float) -> float:
+    """Gegenbauer (ultraspherical) polynomial C_n^alpha(xi), the value of
+    ``gegenbauer_scaled`` (inf past the double range); ``xi`` may be a
+    scalar or an array."""
+    if n == 0:
+        return 1.0
+    cur = np.ldexp(*gegenbauer_scaled(n, alpha, xi))
     return cur if cur.ndim else float(cur)
 
 

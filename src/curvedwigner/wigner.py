@@ -111,7 +111,7 @@ class WignerGrid:
     pR_axis: np.ndarray
     values: np.ndarray
     state: BoundStateLabel
-    fallback_points: int = 0        # always 0; perfbench/tracer.py reads it
+    fallback_points = 0             # always 0; perfbench/tracer.py reads it
     step_discrepancy: float = 0.0   # engine's largest step-halving |fine - coarse|
     rows_past_horizon: int = 0      # rows the engine wrote as 0 (``_horizon``)
     columns_past_horizon: int = 0   # pR columns the engine wrote as 0 (``momentum_decay``)

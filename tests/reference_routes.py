@@ -4,6 +4,9 @@ None of these is reached from the CLI or ``verify``; each one cross-checks
 a route that is:
 
 * ``psi_bound_2f1``: ``psi_bound`` through a terminating Gauss series;
+* ``gegenbauer_unscaled`` and ``psi_bound_unscaled``: the bits of
+  ``gegenbauer`` and ``psi_bound`` through the recurrence that carries no
+  exponent, which overflows past the double range;
 * ``psi_momentum_hahn`` with ``continuous_hahn``: ``psi_momentum_closed``
   through continuous Hahn polynomials;
 * ``flat_ho_sampler``: the flat oscillator as a sampler, so that
@@ -52,6 +55,31 @@ def psi_bound_2f1(state: BoundStateLabel, chi: float) -> float:
              + 0.5 * (math.log(sig) + math.lgamma(2.0 * s - n + 1.0) - math.lgamma(n + 1)))
     hyp = gauss_2f1(-n, 2.0 * s - n + 1.0, sig + 1.0, (1.0 - math.tanh(chi)) / 2.0)
     return math.exp(lpref - sig * math.log(math.cosh(chi))) * hyp.real
+
+
+def gegenbauer_unscaled(n: int, alpha: float, xi):
+    """C_n^alpha(xi) by the three-term recurrence in the order of
+    ``gegenbauer``'s operations, without its rescaling: inf or nan past the
+    double range."""
+    xi = np.asarray(xi, dtype=float)
+    prev, cur = np.ones_like(xi), 2.0 * alpha * xi
+    if n == 0:
+        return prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            prev, cur = cur, (2.0 * (k + alpha - 1.0) * xi * cur - (k + 2.0 * alpha - 2.0) * prev) / k
+    return cur
+
+
+def psi_bound_unscaled(state: BoundStateLabel, chi):
+    """(exp(L), exp(L) C_n^alpha(tanh chi)) on |chi| <= 700, L the log
+    prefactor of ``psi_bound``: its product before the Gegenbauer factor
+    carried an exponent, not finite where that factor overflows."""
+    chi = np.asarray(chi, dtype=float)
+    sig = state.sigma
+    pref = np.exp(state.log_norm + sig * (math.log(2.0) - np.log(np.cosh(chi))))
+    with np.errstate(invalid="ignore"):
+        return pref, pref * gegenbauer_unscaled(state.n, sig + 0.5, np.tanh(chi))
 
 
 def _pochhammer(a, k):

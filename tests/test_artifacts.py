@@ -257,29 +257,28 @@ class TestManifest:
     def test_write_and_validate(self, tmp_path):
         f1 = emit_csv(tmp_path / "a.csv", ["x"], [[1.0]])
         f2 = emit_pgm(_toy_grid([[0.0, 1.0], [2.0, 3.0]]), tmp_path / "b.pgm")
-        manifest = write_manifest(tmp_path, [(f1, "csv"), (f2, "pgm")],
-                                  {"command": "test"}, "0.1.0")
+        manifest = write_manifest(tmp_path, [(f1, "csv"), (f2, "pgm")], {"command": "test"})
         doc = validate_manifest(manifest)
         assert {e["path"] for e in doc["files"]} == {"a.csv", "b.pgm"}
         assert doc["library_version"] == "0.1.0"
 
     def test_detects_corruption(self, tmp_path):
         f1 = emit_csv(tmp_path / "a.csv", ["x"], [[1.0]])
-        manifest = write_manifest(tmp_path, [(f1, "csv")], {}, "0.1.0")
+        manifest = write_manifest(tmp_path, [(f1, "csv")], {})
         f1.write_text("tampered\n")
         with pytest.raises(ConfigError):
             validate_manifest(manifest)
 
     def test_detects_missing_file(self, tmp_path):
         f1 = emit_csv(tmp_path / "a.csv", ["x"], [[1.0]])
-        manifest = write_manifest(tmp_path, [(f1, "csv")], {}, "0.1.0")
+        manifest = write_manifest(tmp_path, [(f1, "csv")], {})
         f1.unlink()
         with pytest.raises(ConfigError):
             validate_manifest(manifest)
 
     def test_manifest_is_deterministic_json(self, tmp_path):
         f1 = emit_csv(tmp_path / "a.csv", ["x"], [[1.0]])
-        m1 = write_manifest(tmp_path, [(f1, "csv")], {"k": 1}, "0.1.0").read_bytes()
-        m2 = write_manifest(tmp_path, [(f1, "csv")], {"k": 1}, "0.1.0").read_bytes()
+        m1 = write_manifest(tmp_path, [(f1, "csv")], {"k": 1}).read_bytes()
+        m2 = write_manifest(tmp_path, [(f1, "csv")], {"k": 1}).read_bytes()
         assert m1 == m2
         json.loads(m1)  # well-formed

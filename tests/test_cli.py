@@ -400,30 +400,46 @@ class TestWavefun:
         assert not re_psit.any() and np.array_equal(abs2, im_psit ** 2)
 
 
-@pytest.mark.parametrize("argv, code", [
-    ("wigner --s 2000 --n 150,175 --grid 0:0.3:5,0:2:5", 0),
-    ("wigner --s 2000 --n 200 --grid 0:0.3:5,0:2:5", 3),
-    ("wigner --s 2000 --n 500 --grid 0:0.3:5,0:2:5", 3),
-    ("wavefun --s 2000 --n 200", 3),
-    ("wavefun --s 2000 --n 500", 3),
-])
-def test_high_modes_exit_with_documented_codes(tmp_path, argv, code):
-    # past n ~ 180 at s = 2000 the profile's Gegenbauer product is not finite
-    # on the axes: exit 3 naming the point, never exit 1 with a traceback
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "curvedwigner.cli", *argv.split(), "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == code, run.stderr
-    assert "Traceback" not in run.stderr
-    if code == 3:
-        assert "overflows double precision at chi=" in run.stderr
-
-
 def within_certificate(bound):
     """A bound widened by the engine's step-halving certificate,
     max(10 abs_tol, 1e-9 |value|), which every written value carries."""
     return bound + np.maximum(10.0 * QuadratureSpec().abs_tol, 1e-9 * bound)
+
+
+def assert_within_bounds(command, out, state):
+    """Every value a wavefun or wigner run wrote for ``state`` in ``out`` is
+    within its bound: |psi~| within momentum_decay's, |W| within R/pi."""
+    n = state.n
+    if command == "wavefun":
+        _, (q, re_psit, im_psit, _) = read_csv(out / f"wavefun_momentum_n{n}.csv")
+        with np.errstate(over="ignore"):  # the bound exceeds a double at s = 2000, n = 1999
+            bound = np.exp(momentum_decay(state, 0.5)(np.abs(q)))
+        assert np.all(np.hypot(re_psit, im_psit) <= within_certificate(bound))
+    else:
+        _, (_, _, w) = read_csv(out / f"wigner_n{n}.csv")
+        assert np.all(np.abs(w) <= within_certificate(1.0 / math.pi))
+
+
+@pytest.mark.parametrize("argv", [
+    "wigner --s 2000 --n 150,175 --grid 0:0.3:5,0:2:5",
+    "wigner --s 2000 --n 200 --grid 0:0.3:5,0:2:5",
+    "wigner --s 2000 --n 500 --grid 0:0.3:5,0:2:5",
+    "wavefun --s 2000 --n 200",
+    "wavefun --s 2000 --n 500",
+])
+def test_high_modes_exit_with_documented_codes(tmp_path, argv):
+    # past n ~ 180 at s = 2000 the profile's Gegenbauer factor passes the
+    # double range where sech^sigma underflows; carried with its exponent, the
+    # run exits 0 within its bounds, never exit 1 with a traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "curvedwigner.cli", *argv.split(), "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    command, _, s, _, modes = argv.split()[:5]
+    for n in map(int, modes.split(",")):
+        assert_within_bounds(command, tmp_path, BoundStateLabel(n, OscillatorParams.from_depth(float(s))))
 
 
 # modes 0, floor(s / 2) and the top normalizable level of each depth
@@ -434,26 +450,15 @@ CONTRACT_STATES = [(0.5, 0)] + [(s, n) for s, top in ((4.2, 4), (30.0, 29), (200
 
 @pytest.mark.parametrize("s, n", CONTRACT_STATES)
 def test_cli_contract_across_depths_and_modes(tmp_path, capsys, s, n):
-    # each run exits 0 with every written value within its bound, or exits 3
-    # naming the point (s = 2000, n = 1000: psi's Gegenbauer product overflows
-    # at chi = 0); nothing raises out of main
+    # each run exits 0 with every written value within its bound (s = 2000,
+    # n = 1000 included, where psi's Gegenbauer factor passes the double
+    # range at chi = 0); nothing raises out of main
     state = BoundStateLabel(n, OscillatorParams.from_depth(s))
     for command, grid in (("wavefun", "0:2:9,0:8:9"), ("wigner", "0:1:3,0:8:3")):
         out = tmp_path / command
         code = main([command, "--s", repr(s), "--n", str(n), "--grid", grid, "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code in (0, 3), err
-        if code == 3:
-            assert "chi=" in err or "pR=" in err, err
-            continue
-        if command == "wavefun":
-            _, (q, re_psit, im_psit, _) = read_csv(out / f"wavefun_momentum_n{n}.csv")
-            with np.errstate(over="ignore"):  # the bound exceeds a double at s = 2000, n = 1999
-                bound = np.exp(momentum_decay(state, 0.5)(np.abs(q)))
-            assert np.all(np.hypot(re_psit, im_psit) <= within_certificate(bound))
-        else:
-            _, (_, _, w) = read_csv(out / f"wigner_n{n}.csv")
-            assert np.all(np.abs(w) <= within_certificate(1.0 / math.pi))
+        assert code == 0, capsys.readouterr().err
+        assert_within_bounds(command, out, state)
 
 
 class TestWignerCommand:

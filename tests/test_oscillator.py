@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reference_routes import flat_ho_sampler, psi_bound_2f1, psi_momentum_hahn
+from reference_routes import flat_ho_sampler, psi_bound_2f1, psi_bound_unscaled, psi_momentum_hahn
 from curvedwigner import oscillator, specfun
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.geometry import shapiro_forward_1d
@@ -184,13 +184,33 @@ class TestBoundWavefunctions:
             assert 3.0 < res[0] / res[1] < 5.0
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_profile_raises(self):
-        # s = 2000, n = 200: C_n^alpha overflows where sech^sigma underflows,
-        # and the first such chi is named, without a numpy warning
+    def test_deep_high_mode_profile_is_finite(self):
+        # s = 2000, n = 200: C_n^alpha passes the double range past chi ~ 0.9,
+        # where sech^sigma underflows; carried with its exponent, the profile
+        # is finite there, without a numpy warning
         state = BoundStateLabel(200, OscillatorParams.from_depth(2000.0))
-        assert np.isfinite(psi_bound(state, np.linspace(0.0, 0.8, 9))).all()
-        with pytest.raises(PrecisionLossError, match="overflows double precision at chi=0.9$"):
-            psi_bound(state, np.linspace(0.0, 1.2, 13))
+        assert np.isfinite(psi_bound(state, np.linspace(0.0, 1.2, 13))).all()
+
+    @pytest.mark.parametrize("s, n", [(4.0, 3), (30.0, 25), (200.0, 150), (2000.0, 175),
+                                      (2000.0, 1999)])
+    def test_profile_keeps_the_unscaled_bits(self, s, n):
+        # wherever the prefactor exp(L) is a normal double, psi_bound is
+        # exp(L) C_n^alpha(tanh chi) bit for bit; at s = 2000, n = 175 exp(L)
+        # is subnormal on a third of the axis, where that product lost bits
+        state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+        chi = np.linspace(-1.0, 1.0, 40001)
+        pref, unscaled = psi_bound_unscaled(state, chi)
+        normal = pref >= np.finfo(float).tiny
+        assert normal.sum() >= 20000
+        psi = psi_bound(state, chi)
+        np.testing.assert_array_equal(psi[normal], unscaled[normal])
+        assert np.isfinite(psi).all()
+
+    @pytest.mark.parametrize("n", [175, 500, 1000])
+    def test_deep_high_modes_are_normalized(self, n):
+        state = BoundStateLabel(n, OscillatorParams.from_depth(2000.0))
+        chi, h = np.linspace(-3.0, 3.0, 40001, retstep=True)
+        assert abs(h * np.sum(psi_bound(state, chi) ** 2) - 1.0) <= 1e-10
 
     def test_threshold_state_has_no_wavefunction(self, s4_params):
         # sigma = 0, the zero-norm level: it has an energy but no label, so

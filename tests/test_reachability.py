@@ -4,8 +4,9 @@ The five commands run on small inputs with a call-event tracer installed;
 every function, method and property named through a module's ``__all__``
 must have been called, apart from the few listed below with the reason each
 one stays.  Each public name has one home, the one module whose ``__all__``
-names it, no module imports another module's private name, and
-``import curvedwigner.cli`` loads only the modules the grid commands run.
+names it, no module imports another module's private name,
+``import curvedwigner.cli`` loads only the modules the grid commands run,
+and a ``python -m curvedwigner.cli`` process holds one copy of the cli.
 """
 
 import ast
@@ -131,3 +132,17 @@ def test_cli_loads_only_the_modules_it_runs():
     assert loaded == ["curvedwigner"] + [f"curvedwigner.{m}" for m in (
         "artifacts", "cli", "errors", "oscillator", "quadrature", "sampling", "specfun", "wigner")]
     assert bound == []
+
+
+def test_verify_process_runs_one_cli_module(tmp_path):
+    # run as __main__, the cli is also curvedwigner.cli, so the
+    # reproducibility criterion's ``from .cli import`` executes no second
+    # copy; verify exits 1, as contraction_chain fails its stated bounds
+    src = str(Path(curvedwigner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "curvedwigner.cli", "verify",
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 1, run.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "curvedwigner.verify" in imported and "curvedwigner.cli" not in imported

@@ -8,7 +8,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_routes import continuous_hahn
+from reference_routes import continuous_hahn, gegenbauer_unscaled
 from curvedwigner.errors import NonconvergenceError, PoleError
 from curvedwigner import specfun as sf
 
@@ -191,6 +191,31 @@ class TestGegenbauer:
         for xi in (-0.9, -0.2, 0.0, 0.55, 1.0):
             assert sf.gegenbauer(n, alpha, xi) == pytest.approx(
                 float(sps.eval_gegenbauer(n, alpha, xi)), rel=1e-10)
+
+    def test_criterion_values_unchanged(self):
+        # verify's special_functions (n, alpha, xi): the recurrence's values,
+        # in the types it returned before it carried an exponent
+        xi = np.linspace(-1.0, 1.0, 41)
+        for n in range(13):
+            for alpha in (0.7, 2.5, 17.3):
+                np.testing.assert_array_equal(sf.gegenbauer(n, alpha, xi), gegenbauer_unscaled(n, alpha, xi))
+                assert not sf.gegenbauer_scaled(n, alpha, xi)[1].any()
+        assert sf.gegenbauer(0, 0.7, xi) == 1.0 and type(sf.gegenbauer(5, 0.7, 0.3)) is float
+
+    @pytest.mark.parametrize("n,alpha", [(16, 0.7), (40, 17.3), (175, 1825.5), (500, 1500.5),
+                                         (1999, 1.5)])
+    def test_carried_exponent(self, n, alpha):
+        # ldexp(m, e) keeps the unscaled recurrence's bits wherever that is
+        # finite (nowhere at n = 500), and past the double range
+        # C_n^alpha(1) = (2 alpha)_n / n!
+        xi = np.linspace(-1.0, 1.0, 401)
+        m, e = sf.gegenbauer_scaled(n, alpha, xi)
+        unscaled = gegenbauer_unscaled(n, alpha, xi)
+        finite = np.isfinite(unscaled)
+        assert e.any() and np.isfinite(m).all()
+        np.testing.assert_array_equal(np.ldexp(m[finite], e[finite]), unscaled[finite])
+        log_c1 = math.lgamma(2.0 * alpha + n) - math.lgamma(2.0 * alpha) - math.lgamma(n + 1)
+        assert math.log(m[-1]) + e[-1] * math.log(2.0) == pytest.approx(log_c1, rel=1e-12)
 
 
 class TestHermiteLaguerre:
