@@ -192,11 +192,9 @@ def psi_bound(state: BoundStateLabel, chi):
     with np.errstate(over="ignore", invalid="ignore"):
         m, e = gegenbauer_scaled(state.n, sig + 0.5, np.tanh(chi_arr))
         pref = np.exp(log_pref)
-        if not e.any():  # no rescaling happened: m is C_n^alpha
-            vals = pref * m
-        else:
-            vals = np.where(pref >= np.finfo(float).tiny, np.ldexp(pref * m, e),
-                            np.exp(log_pref + e * math.log(2.0)) * m)
+        vals = np.ldexp(pref * m, e, out=np.empty_like(m))  # an array for scalar chi too
+        sub = pref < np.finfo(float).tiny  # exp(L) lost bits: take the power of two inside exp
+        vals[sub] = np.exp(log_pref[sub] + e[sub] * math.log(2.0)) * m[sub]
     if not np.isfinite(vals).all():
         raise PrecisionLossError(f"psi_{state.n} at s={state.s:g} is not finite at chi="
                                  f"{chi_arr.ravel()[np.argmin(np.isfinite(vals).ravel())]:.6g}")

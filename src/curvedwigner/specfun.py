@@ -165,9 +165,10 @@ _GEGENBAUER_RESCALE = 16  # recurrence steps between rescalings of the carried t
 
 
 def gegenbauer_scaled(n: int, alpha: float, xi):
-    """C_n^alpha(xi) = ldexp(m, e) as a float array m and an int64 array e
+    """C_n^alpha(xi) = ldexp(m, e) as a float array m and a C int array e
     of the shape of ``xi`` (a scalar or an array), so that values past the
-    double range are carried.
+    double range are carried.  C int is the type ``np.frexp`` returns, and
+    ``np.ldexp`` runs about ten times faster on it than on int64.
 
     The three-term recurrence runs in place on three arrays (at n ~ 2000
     allocating each step's temporaries cost more than its arithmetic).
@@ -178,7 +179,7 @@ def gegenbauer_scaled(n: int, alpha: float, xi):
     if n < 0:
         raise ValueError("n must be a non-negative integer")
     xi = np.asarray(xi, dtype=float)
-    e = np.zeros(xi.shape, dtype=np.int64)
+    e = np.zeros(xi.shape, dtype=np.intc)
     if n == 0:
         return np.ones_like(xi), e
     prev, cur, nxt = np.ones_like(xi), np.array(2.0 * alpha * xi), np.empty_like(xi)

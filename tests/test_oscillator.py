@@ -191,6 +191,12 @@ class TestBoundWavefunctions:
         state = BoundStateLabel(200, OscillatorParams.from_depth(2000.0))
         assert np.isfinite(psi_bound(state, np.linspace(0.0, 1.2, 13))).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_profile_raises(self):
+        state = BoundStateLabel(3, OscillatorParams.from_depth(30.0))
+        with pytest.raises(PrecisionLossError, match="is not finite at chi=nan"):
+            psi_bound(state, np.array([0.0, np.nan]))
+
     @pytest.mark.parametrize("s, n", [(4.0, 3), (30.0, 25), (200.0, 150), (2000.0, 175),
                                       (2000.0, 1999)])
     def test_profile_keeps_the_unscaled_bits(self, s, n):
