@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PrecisionLossError
-from .quadrature import QuadratureSpec, half_line_trapezoid
+from .quadrature import CERTIFIED_ABS_TOL, QuadratureSpec, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import (
     gamma_abs_squared,
@@ -183,11 +183,9 @@ def psi_bound(state: BoundStateLabel, chi):
     chi_arr = np.asarray(chi, dtype=float)
     sig = state.sigma
     dist = np.abs(chi_arr)
-    if dist.max(initial=0.0) <= 700.0:
-        log_cosh = np.log(np.cosh(chi_arr))
-    else:  # cosh overflows past |chi| ~ 710, where log cosh = |chi| - log 2 to the last bit
-        log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
-                            np.log(np.cosh(np.minimum(dist, 700.0))))
+    # cosh overflows past |chi| ~ 710, where log cosh = |chi| - log 2 to the last bit
+    log_cosh = np.where(dist > 700.0, dist - math.log(2.0),
+                        np.log(np.cosh(np.minimum(dist, 700.0))))
     log_pref = state.log_norm + sig * (math.log(2.0) - log_cosh)
     with np.errstate(over="ignore", invalid="ignore"):
         m, e = gegenbauer_scaled(state.n, sig + 0.5, np.tanh(chi_arr))
@@ -257,7 +255,7 @@ def _falling_root(excess) -> float:
     return hi
 
 
-def spectral_step(q_max: float, state: BoundStateLabel, c: float, spec: QuadratureSpec) -> float:
+def spectral_step(q_max: float, state: BoundStateLabel, c: float) -> float:
     """Trapezoid step h = 2 pi / (q_max + g) of a half-line sum for
     F = W (c = 1) or F = psi~ (c = 1/2) of ``state``.
 
@@ -289,12 +287,13 @@ def spectral_step(q_max: float, state: BoundStateLabel, c: float, spec: Quadratu
     d log B_c / dq = -2c atan(q / s) falls with q, so past g each further
     2 pi / h >= g shrinks B_c by at least e^{-2c g atan(g / s)}, and the
     aliases sum to at most 2 B_c(g) / (1 - e^{-2c g atan(g / s)}) on both
-    sides.  g is the root of that bound = abs_tol / 4, by bisection (the left
-    side falls monotonically in g); truncation adds a tenth of abs_tol.  The
-    certificate stays step halving: this step only makes it pass with room.
+    sides.  g is the root of that bound = tol / 4, tol = ``CERTIFIED_ABS_TOL``,
+    by bisection (the left side falls monotonically in g); truncation adds
+    tol / 10.  The certificate stays step halving: this step only makes it
+    pass with room.
     """
     log_bound, s = momentum_decay(state, c), state.sigma + state.n
-    target = math.log(0.25 * spec.abs_tol)
+    target = math.log(0.25 * CERTIFIED_ABS_TOL)
 
     def excess(g):
         # log of the aliases' bound 2 B_c(g) / (1 - e^{-2c g atan(g / s)}) over the target
@@ -310,19 +309,19 @@ def psi_momentum(state: BoundStateLabel, p):
     cos(u q), q = p R, for even n, and -i times the sin sum for odd n: psi_n
     has parity (-1)^n, so a value is exactly real or exactly imaginary.  The
     nodes stop at the tail radius of psi's envelope; past the cut where B_1/2
-    (``momentum_decay``) drops under a tenth of abs_tol a value is 0, and h
+    (``momentum_decay``) drops under CERTIFIED_ABS_TOL / 10 a value is 0, and h
     is ``spectral_step`` at that cut, whatever the momenta, so an array of
     any shape gives the scalar calls' values bit for bit."""
-    spec, R = QuadratureSpec(), state.params.R
+    R, budget = state.params.R, 0.1 * CERTIFIED_ABS_TOL
     q, scale = np.asarray(p, dtype=float).ravel() * R, math.sqrt(R / (2.0 * math.pi))
-    log_bound, budget = momentum_decay(state, 0.5), math.log(0.1 * spec.abs_tol)
-    cut = _falling_root(lambda x: float(log_bound(x)) - budget)
-    h = spectral_step(cut, state, 0.5, spec)
-    T = bound_sampler(state).envelope.tail_radius(0.1 * spec.abs_tol / scale)
+    log_bound, log_budget = momentum_decay(state, 0.5), math.log(budget)
+    cut = _falling_root(lambda x: float(log_bound(x)) - log_budget)
+    h = spectral_step(cut, state, 0.5)
+    T = bound_sampler(state).envelope.tail_radius(budget / scale)
     inside = np.abs(q) <= cut
     fine = np.zeros((1, int(inside.sum())))
     half_line_trapezoid(lambda rows, taus: psi_bound(state, taus)[None], np.zeros(1), q[inside],
-                        h, T, np.cos if state.n % 2 == 0 else np.sin, scale * h, spec,
+                        h, T, np.cos if state.n % 2 == 0 else np.sin, scale * h,
                         "momentum profile not certified at pR={q:.6g}", fine)
     values = np.zeros(len(q), dtype=complex)
     if state.n % 2 == 0:

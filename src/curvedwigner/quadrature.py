@@ -9,7 +9,8 @@ ACM TOMS 17 (1991) 452), refined in batches, one vectorized call per level;
 panel bookkeeping is ordered and independent of timing.
 
 ``half_line_trapezoid`` sums sum_k w_k S(r, k h) wave(k h q) over rows r and
-momenta q, certified by step halving, in blocks of fixed size.
+momenta q, certified by step halving to ``CERTIFIED_ABS_TOL``, in blocks of
+fixed size.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import numpy as np
 
 from .errors import NonconvergenceError, PrecisionLossError
 
-__all__ = ["QuadratureSpec", "adaptive_gauss_kronrod", "gauss_kronrod_vector",
-           "half_line_trapezoid"]
+__all__ = ["CERTIFIED_ABS_TOL", "QuadratureSpec", "adaptive_gauss_kronrod",
+           "gauss_kronrod_vector", "half_line_trapezoid"]
+
+CERTIFIED_ABS_TOL = 1e-11  # stated tolerance of every certified value; the oracles set their own
 
 _BLOCK_ELEMENTS = 2 ** 13  # trapezoid samples, and values, per block of rows
 _WAVE_ELEMENTS = 2 ** 19   # trapezoid wave(t q) elements per node rule and block of columns
@@ -158,8 +161,8 @@ def gauss_kronrod_vector(f, a, b, spec: QuadratureSpec | None = None, initial_pa
         n_panels += split
 
 
-def half_line_trapezoid(samples, rows, q, h, T, wave, factor, spec: QuadratureSpec,
-                        label: str, out: np.ndarray) -> float:
+def half_line_trapezoid(samples, rows, q, h, T, wave, factor, label: str,
+                        out: np.ndarray) -> float:
     """The certified step-h/2 half-line trapezoid sum, written into ``out``
     of shape (len(rows), len(q)):
 
@@ -167,10 +170,10 @@ def half_line_trapezoid(samples, rows, q, h, T, wave, factor, spec: QuadratureSp
 
     m = 0 .. 2 ceil(T / h), w_0 = 1, w_m = 2, with S = ``samples(rows, taus)``
     of shape (len(rows), len(taus)).  It is the step-h sum averaged with its
-    midpoint sum; where the two differ by more than max(10 abs_tol, 1e-9 |out|)
-    it raises PrecisionLossError, ``label`` formatted with the worst point's
-    row r and momentum q (of equal ones, the first in the blocks' order).
-    Returns the largest difference.
+    midpoint sum; where the two differ by more than max(10 tol, 1e-9 |out|),
+    tol = ``CERTIFIED_ABS_TOL``, it raises PrecisionLossError, ``label``
+    formatted with the worst point's row r and momentum q (of equal ones, the
+    first in the blocks' order).  Returns the largest difference.
 
     Rows go in blocks, each sampled once.  The waves are built once when a
     node set's matrix fits _WAVE_ELEMENTS, else per block of columns, with
@@ -208,7 +211,7 @@ def half_line_trapezoid(samples, rows, q, h, T, wave, factor, spec: QuadratureSp
             fine = 0.5 * (coarse + mid)
             out[r:r + step, c:c + cols] = fine
             err = np.abs(fine - coarse)
-            bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+            bound = np.maximum(10.0 * CERTIFIED_ABS_TOL, 1e-9 * np.abs(fine))
             ratio = err / bound
             i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
             if ratio[i, j] > worst:

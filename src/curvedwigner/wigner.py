@@ -13,12 +13,12 @@ and two independent oracles.
 
   The grid is sized by the state, not by the axes.  Past a horizon |chi_h|
   the envelope |psi(u)| <= a e^{-sigma |u|} bounds the whole row below the
-  truncation budget, a tenth of abs_tol, so those rows are written as 0
-  and cost nothing (``_horizon``); T and the nodes follow the rows within
-  it.  Past the |q| where W's bound B_1(|q|) (``momentum_decay``) falls
-  below the budget the columns are 0 too, and h follows the columns before
-  that cut.  ``WignerGrid.rows_past_horizon`` and ``columns_past_horizon``
-  count them.
+  truncation budget, a tenth of ``quadrature.CERTIFIED_ABS_TOL``, so those
+  rows are written as 0 and cost nothing (``_horizon``); T and the nodes
+  follow the rows within it.  Past the |q| where W's bound B_1(|q|)
+  (``momentum_decay``) falls below the budget the columns are 0 too, and h
+  follows the columns before that cut.  ``WignerGrid.rows_past_horizon``
+  and ``columns_past_horizon`` count them.
 
 * ``wigner_quadrature_grid`` integrates the defining correlation integral
 
@@ -76,7 +76,7 @@ import numpy as np
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
 from .oscillator import (BoundStateLabel, OscillatorParams, bound_sampler, momentum_decay,
                          psi_bound, psi_momentum, spectral_step)
-from .quadrature import QuadratureSpec, gauss_kronrod_vector, half_line_trapezoid
+from .quadrature import CERTIFIED_ABS_TOL, QuadratureSpec, gauss_kronrod_vector, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import laguerre, log_gamma
 
@@ -134,9 +134,9 @@ class WignerGrid:
 
 
 def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
-                     spec: QuadratureSpec) -> float:
+                     abs_tol: float) -> float:
     """Half-width T of the tau interval outside which the correlation
-    integral of f and g at ``chi`` is below a tenth of ``spec.abs_tol`` in W.
+    integral of f and g at ``chi`` is below a tenth of ``abs_tol`` in W.
 
     With envelopes |f(u)| <= a_f e^{-r_f |u|}, |g(u)| <= a_g e^{-r_g |u|},
     amp = a_f a_g and rate = r_f + r_g, on |tau| >= 2|chi| write
@@ -160,7 +160,7 @@ def _pair_truncation(f: FieldSampler, g: FieldSampler, chi: float, R: float,
     T <= max(T(0), 2|chi| + 4).  The mass is formed as a logarithm from the
     envelopes' log amplitudes: amp alone overflows a double at large depth.
     """
-    budget = 0.1 * spec.abs_tol * 2.0 * math.pi / R
+    budget = 0.1 * abs_tol * 2.0 * math.pi / R
     tails = DecayEnvelope(f.envelope.log_amplitude + g.envelope.log_amplitude
                           - 2.0 * min(f.envelope.rate, g.envelope.rate) * abs(chi),
                           (f.envelope.rate + g.envelope.rate) / 2.0)
@@ -222,7 +222,7 @@ def wigner_quadrature_grid(f: FieldSampler, g: FieldSampler, chi_axis, p,
 
     for start in range(0, len(chi), step):
         rows = chi[start:start + step]
-        T = _pair_truncation(f, g, float(np.max(np.abs(rows))), R, spec)
+        T = _pair_truncation(f, g, float(np.max(np.abs(rows))), R, spec.abs_tol)
         n0 = max(4, int(np.max(np.abs(q), initial=0.0) * T / 6.0) + 1)
         vals, _ = gauss_kronrod_vector(lambda tau: integrand(rows, tau), 0.0, T, spec, n0)
         values[start:start + step] = (R / (2.0 * math.pi) * vals.astype(complex)).reshape(len(rows), -1)
@@ -341,20 +341,20 @@ def wigner_closed_grid(state: BoundStateLabel, chi_axis, pR_axis) -> np.ndarray:
     return values
 
 
-def _above_budget(log_bound: np.ndarray, spec: QuadratureSpec) -> slice:
+def _above_budget(log_bound: np.ndarray) -> slice:
     """The run of axis entries from the first to the last whose bound on
-    log |W| exceeds the truncation budget, log(0.1 ``spec.abs_tol``); every
-    entry outside it is written as 0.  Both bounds the engine cuts by fall
-    monotonically in the magnitude of the axis entry, so on an increasing
-    axis the entries above the budget are one contiguous run."""
-    inside = np.flatnonzero(log_bound > math.log(0.1 * spec.abs_tol))
+    log |W| exceeds the truncation budget, log(0.1 ``CERTIFIED_ABS_TOL``);
+    every entry outside it is written as 0.  Both bounds the engine cuts by
+    fall monotonically in the magnitude of the axis entry, so on an
+    increasing axis the entries above the budget are one contiguous run."""
+    inside = np.flatnonzero(log_bound > math.log(0.1 * CERTIFIED_ABS_TOL))
     return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
 
-def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -> slice:
+def _horizon(f: FieldSampler, chi: np.ndarray, R: float) -> slice:
     """The run of rows of ``chi`` the engine evaluates: every row outside it
-    has |W| within the truncation budget, a tenth of ``spec.abs_tol``, so
-    it is written as 0.
+    has |W| within the truncation budget, a tenth of ``CERTIFIED_ABS_TOL``,
+    so it is written as 0.
 
     With |f(u)| <= a e^{-r |u|}, |corr(chi, tau)| <= a^2 e^{-2 r max(|chi|, |tau| / 2)},
     whose integral over tau is a^2 e^{-2 r |chi|} (4 |chi| + 2 / r), so
@@ -367,40 +367,36 @@ def _horizon(f: FieldSampler, chi: np.ndarray, R: float, spec: QuadratureSpec) -
     rate = f.envelope.rate
     dist = np.abs(chi)
     return _above_budget(math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
-                         - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate), spec)
-
-
-def _spectral_grid(state: BoundStateLabel, chi: np.ndarray, qs: np.ndarray,
-                   spec: QuadratureSpec) -> WignerGrid:
-    """Certified engine grid of ``state`` on chi x qs: the correlation's
-    half-line trapezoid against cos(tau q) (``quadrature.half_line_trapezoid``)
-    on the rows within the state's horizon (``_horizon``) and the columns
-    within its momentum cut (``momentum_decay``), the rest 0; T follows the
-    largest |chi| evaluated and h the largest |q| (``spectral_step``)."""
-    f = bound_sampler(state)
-    R = state.params.R
-    run = _horizon(f, chi, R, spec)
-    cols = _above_budget(momentum_decay(state, 1.0)(np.abs(qs)), spec)
-    values = np.zeros((len(chi), len(qs)))  # after the cuts' axis temporaries are freed
-    past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
-                columns_past_horizon=len(qs) - (cols.stop - cols.start))
-    if run.start == run.stop or cols.start == cols.stop:
-        return WignerGrid(chi, qs, values, state, **past)
-    T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, spec)
-    h = spectral_step(float(np.max(np.abs(qs[cols]))), state, 1.0, spec)
-    discrepancy = half_line_trapezoid(
-        lambda rows, taus: f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0),
-        chi[run], qs[cols], h, T, np.cos, R * h / (2.0 * math.pi), spec,
-        "spectral grid not certified at chi={r:.6g}, pR={q:.6g}", values[run, cols])
-    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy, **past)
+                         - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate))
 
 
 def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis) -> WignerGrid:
     """W(psi_n | chi, p) on the product grid chi_axis x pR_axis from the
     certified spectral engine; PrecisionLossError when the step halving
-    disagrees anywhere."""
-    return _spectral_grid(state, np.asarray(chi_axis, dtype=float),
-                          np.asarray(pR_axis, dtype=float), QuadratureSpec())
+    disagrees anywhere.
+
+    The correlation's half-line trapezoid against cos(tau q)
+    (``quadrature.half_line_trapezoid``) runs on the rows within the state's
+    horizon (``_horizon``) and the columns within its momentum cut
+    (``momentum_decay``), the rest 0; T follows the largest |chi| evaluated
+    and h the largest |q| (``spectral_step``)."""
+    chi, qs = np.asarray(chi_axis, dtype=float), np.asarray(pR_axis, dtype=float)
+    f = bound_sampler(state)
+    R = state.params.R
+    run = _horizon(f, chi, R)
+    cols = _above_budget(momentum_decay(state, 1.0)(np.abs(qs)))
+    values = np.zeros((len(chi), len(qs)))  # after the cuts' axis temporaries are freed
+    past = dict(rows_past_horizon=len(chi) - (run.stop - run.start),
+                columns_past_horizon=len(qs) - (cols.stop - cols.start))
+    if run.start == run.stop or cols.start == cols.stop:
+        return WignerGrid(chi, qs, values, state, **past)
+    T = _pair_truncation(f, f, float(np.max(np.abs(chi[run]))), R, CERTIFIED_ABS_TOL)
+    h = spectral_step(float(np.max(np.abs(qs[cols]))), state, 1.0)
+    discrepancy = half_line_trapezoid(
+        lambda rows, taus: f(rows[:, None] - taus / 2.0) * f(rows[:, None] + taus / 2.0),
+        chi[run], qs[cols], h, T, np.cos, R * h / (2.0 * math.pi),
+        "spectral grid not certified at chi={r:.6g}, pR={q:.6g}", values[run, cols])
+    return WignerGrid(chi, qs, values, state, step_discrepancy=discrepancy, **past)
 
 
 def _axis_fold_factor(axis: np.ndarray, what: str) -> float:

@@ -9,6 +9,9 @@ a route that is:
   exponent, which overflows past the double range;
 * ``psi_momentum_hahn`` with ``continuous_hahn``: ``psi_momentum_closed``
   through continuous Hahn polynomials;
+* ``wigner_closed_mp``: ``wigner_grid`` through the paper's closed form,
+  the double sum of ``wigner_closed_grid``, in ``mpmath`` at depths where
+  it cancels past double precision;
 * ``flat_ho_sampler``: the flat oscillator as a sampler, so that
   ``flat_ho_wigner`` can be checked against ``wigner_quadrature_1d``;
 * ``bargmann_angle``: ``boost_direction`` on the circle;
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 
 from curvedwigner.artifacts import format_value
@@ -123,6 +127,26 @@ def psi_momentum_hahn(state: BoundStateLabel, p: float) -> complex:
              + 2.0 * log_gamma(0.5 * (sig - 1j * q)).real)
     poly = continuous_hahn(n, -q / 2.0, a, a + 1.0, a, a + 1.0)
     return (-1j) ** n * math.exp(lpref) * poly
+
+
+def wigner_closed_mp(state: BoundStateLabel, chi: float, q: float, dps: int) -> float:
+    """The paper's closed form W(psi_n | chi, p) at one point, q = p R > 0 and
+    chi >= CHI_MIN, summed at ``dps`` digits: the double sum over (k, k') of
+    ``wigner_closed_grid``'s docstring, each 2F1 by ``mpmath.hyp2f1``.  Its
+    real part cancels up to about 75 digits at s = 30 and small chi, so a
+    caller compares two precisions."""
+    with mpmath.workdps(dps):
+        n, s, R = state.n, mpmath.mpf(state.s), mpmath.mpf(state.params.R)
+        sig, chi, iq = s - n, mpmath.mpf(chi), 1j * mpmath.mpf(q)
+        b2 = sig * mpmath.gamma(2 * s - n + 1) / (4 * mpmath.factorial(n) * mpmath.gamma(sig + 1) ** 2)
+        g = [mpmath.rf(-n, k) * mpmath.rf(2 * s - n + 1, k) / (mpmath.rf(sig + 1, k) * mpmath.factorial(k))
+             for k in range(n + 1)]
+        total = mpmath.fsum(
+            g[k] * g[kp] / mpmath.gamma(sig + kp) * mpmath.exp(-2 * chi * (sig + 2 * k) + 2 * iq * chi)
+            * mpmath.gamma(kp - k + iq) * mpmath.gamma(sig + k - iq)
+            * mpmath.hyp2f1(sig + k, sig + k - iq, 1 + k - kp - iq, mpmath.exp(-4 * chi))
+            for k in range(n + 1) for kp in range(n + 1))
+        return float(4 * R / mpmath.pi * b2 * total.real)
 
 
 def flat_ho_sampler(n: int, mu: float, omega: float) -> FieldSampler:

@@ -35,7 +35,7 @@ from curvedwigner.oscillator import (
     psi_bound,
     psi_momentum,
 )
-from curvedwigner.quadrature import QuadratureSpec
+from curvedwigner.quadrature import CERTIFIED_ABS_TOL, QuadratureSpec
 
 
 def collect():
@@ -402,8 +402,8 @@ class TestWavefun:
 
 def within_certificate(bound):
     """A bound widened by the engine's step-halving certificate,
-    max(10 abs_tol, 1e-9 |value|), which every written value carries."""
-    return bound + np.maximum(10.0 * QuadratureSpec().abs_tol, 1e-9 * bound)
+    max(10 tol, 1e-9 |value|), which every written value carries."""
+    return bound + np.maximum(10.0 * CERTIFIED_ABS_TOL, 1e-9 * bound)
 
 
 def assert_within_bounds(command, out, state):
@@ -505,7 +505,7 @@ class TestWignerCommand:
     def test_uncertified_grid_exits_numeric(self, tmp_path, monkeypatch, capsys):
         from curvedwigner import wigner
 
-        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 1.5)
         rc = main(["wigner", "--s", "4", "--n", "0", "--grid", "0:2:12,0:4:10",
                    "--out", str(tmp_path)])
         assert rc == 3

@@ -25,7 +25,7 @@ from curvedwigner.oscillator import (
     psi_scatter,
     schrodinger_residual,
 )
-from curvedwigner.quadrature import QuadratureSpec, adaptive_gauss_kronrod
+from curvedwigner.quadrature import CERTIFIED_ABS_TOL, QuadratureSpec, adaptive_gauss_kronrod
 
 TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
 
@@ -356,8 +356,8 @@ class TestMomentumRepresentation:
         far = np.array([-40.0, 30.0, 40.0])
         assert not psi_momentum(state, far).any()
         exact = shapiro_forward_1d(bound_sampler(state), far, 1.0, TIGHT)
-        assert np.max(np.abs(exact)) <= 0.1 * QuadratureSpec().abs_tol
-        monkeypatch.setattr(oscillator, "spectral_step", lambda q_max, state, c, spec: 1.5)
+        assert np.max(np.abs(exact)) <= 0.1 * CERTIFIED_ABS_TOL
+        monkeypatch.setattr(oscillator, "spectral_step", lambda q_max, state, c: 1.5)
         with pytest.raises(PrecisionLossError, match="not certified at pR="):
             psi_momentum(state, np.linspace(0.0, 8.0, 9))
 

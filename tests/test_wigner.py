@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_sampler
-from reference_routes import flat_ho_sampler
-from curvedwigner import artifacts, quadrature, wigner
+from reference_routes import flat_ho_sampler, wigner_closed_mp
+from curvedwigner import artifacts, oscillator, quadrature, wigner
 from curvedwigner.artifacts import emit_grid_csv, emit_pgm, format_value, read_pgm
 from curvedwigner.errors import DomainError, PrecisionLossError
 from curvedwigner.oscillator import (
@@ -77,7 +77,7 @@ class TestQuadratureRoute:
     def _full_line(f, g, chi, p, R, spec):
         # the unfolded integrand over [-T, T], T as in wigner_quadrature_1d
         q = p * R
-        T = wigner._pair_truncation(f, g, chi, R, spec)
+        T = wigner._pair_truncation(f, g, chi, R, spec.abs_tol)
         val, _ = adaptive_gauss_kronrod(
             lambda t: np.conj(f(chi - t / 2.0)) * g(chi + t / 2.0) * np.exp(-1j * q * t),
             -T, T, TIGHT, max(8, int(abs(q) * T / 3.0) + 1))
@@ -213,7 +213,7 @@ class TestQuadratureGrid:
 
 
 def _pair_T(f, g, chi, R=1.0, spec=QuadratureSpec()):
-    return wigner._pair_truncation(f, g, chi, R, spec)
+    return wigner._pair_truncation(f, g, chi, R, spec.abs_tol)
 
 
 class TestPairTruncation:
@@ -328,6 +328,26 @@ class TestClosedForm:
         assert 0.98 * R / math.pi < np.max(np.abs(values)) <= R / math.pi
 
 
+class TestClosedFormHighPrecision:
+    """The paper's closed form where it cancels past double precision: at
+    s = 30 and 30.6 the double sum, evaluated in mpmath, matches the engine
+    within its certificate."""
+
+    POINTS = ((0.06, 1.0), (0.25, 4.5), (0.5, 9.0))  # (chi, pR), chi >= CHI_MIN, pR > 0
+
+    @pytest.mark.parametrize("s, n", [(30.0, 0), (30.0, 1), (30.0, 2), (30.0, 3), (30.6, 2)])
+    def test_engine_matches_the_closed_form(self, s, n):
+        state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+        chi, qs = zip(*self.POINTS)
+        engine = np.diag(wigner_grid(state, chi, qs).values)
+        for (c, q), w in zip(self.POINTS, engine):
+            exact = wigner_closed_mp(state, c, q, 130)
+            bound = max(10.0 * quadrature.CERTIFIED_ABS_TOL, 1e-9 * abs(exact))
+            # 90 digits keep >= 14 after the cancellation at chi = 0.06, 130 keep >= 54
+            assert abs(wigner_closed_mp(state, c, q, 90) - exact) <= 1e-3 * bound, (c, q)
+            assert abs(w - exact) <= bound, (c, q, w, exact)
+
+
 class TestGrids:
     def test_tags_and_determinism(self, s4_states, tmp_path):
         # a grid carries its state; its CSV takes the route tag and labels from it
@@ -367,13 +387,13 @@ def figure1_axes(s, points):
     return u / math.sqrt(s), u * math.sqrt(s)
 
 
-def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
+def whole_grid_engine(state, chi, qs):
     """The engine as one einsum over the whole grid at once: the step-h/2
     values, the step-halving discrepancy and its bound, and the node count."""
     f = bound_sampler(state)
-    R = state.params.R
-    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, spec)
-    h = wigner.spectral_step(float(np.max(np.abs(qs))), state, 1.0, spec)
+    R, tol = state.params.R, quadrature.CERTIFIED_ABS_TOL
+    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), R, tol)
+    h = wigner.spectral_step(float(np.max(np.abs(qs))), state, 1.0)
     k = np.arange(int(math.ceil(T / h)) + 1)
 
     def half_line_sum(taus, weights):
@@ -383,7 +403,7 @@ def whole_grid_engine(state, chi, qs, spec=QuadratureSpec()):
     scale = R * h / (2.0 * math.pi)
     coarse = scale * half_line_sum(k * h, np.where(k == 0, 1.0, 2.0))
     fine = 0.5 * (coarse + scale * half_line_sum((k[:-1] + 0.5) * h, 2.0))
-    bound = np.maximum(10.0 * spec.abs_tol, 1e-9 * np.abs(fine))
+    bound = np.maximum(10.0 * tol, 1e-9 * np.abs(fine))
     return fine, np.abs(fine - coarse), bound, len(k)
 
 
@@ -408,14 +428,14 @@ class TestSpectralEngine:
             assert len(chi) >= 3 * rows_per_block(qs, nodes)
         else:  # a wave block holds at most _WAVE_ELEMENTS // nodes columns
             assert len(qs) >= 3 * (quadrature._WAVE_ELEMENTS // nodes)
-        grid = wigner._spectral_grid(state, chi, qs, QuadratureSpec())
+        grid = wigner_grid(state, chi, qs)
         assert grid.values.tobytes() == fine.tobytes()
         assert grid.step_discrepancy == float(err.max())
 
     @pytest.mark.parametrize("n", range(4))
     def test_uncertified_grid_names_the_whole_grid_worst_point(self, s4_states, monkeypatch, n):
         # the worst point sits near chi = 0, in a middle block of this axis
-        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 0.4)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 0.4)
         chi, qs = np.linspace(-8.0, 8.0, 601), np.linspace(0.0, 12.0, 401)
         _, err, bound, nodes = whole_grid_engine(s4_states[n], chi, qs)
         i, j = np.unravel_index(np.argmax(err / bound), err.shape)
@@ -468,18 +488,34 @@ class TestSpectralEngine:
             digests.add(out.stdout.strip())
         assert len(digests) == 1
 
-    def test_records_step_discrepancy(self, s4_states):
+    def test_records_step_discrepancy(self, s4_states, monkeypatch):
+        state = s4_states[0]
         chi, qs = figure1_axes(4.0, 17)
-        grid = wigner_grid(s4_states[0], chi, qs)
-        assert grid.step_discrepancy == wigner._spectral_grid(
-            s4_states[0], chi, qs, QuadratureSpec()).step_discrepancy
-        # certified: the halving check held everywhere, within max(10 abs_tol, ...)
-        discrepancy = wigner._spectral_grid(s4_states[0], chi, qs, TIGHT).step_discrepancy
-        assert 0.0 <= discrepancy <= 10.0 * TIGHT.abs_tol
+        # certified: the halving check held everywhere, within max(10 tol, ...)
+        discrepancy = wigner_grid(state, chi, qs).step_discrepancy
+        assert 0.0 <= discrepancy <= 10.0 * quadrature.CERTIFIED_ABS_TOL
+        h = spectral_step(qs[-1], state, 1.0)
+        # the stated tolerance set to 1e-12 wherever it is read: a reader that
+        # kept 1e-11 leaves its step, truncation, cut or bound where it was
+        tol = TIGHT.abs_tol
+        for module in (quadrature, oscillator, wigner):
+            monkeypatch.setattr(module, "CERTIFIED_ABS_TOL", tol)
+        tight = wigner_grid(state, chi, qs)
+        assert 0.0 <= tight.step_discrepancy <= 10.0 * tol
+        assert spectral_step(qs[-1], state, 1.0) < h
+        assert tight.values.tobytes() == whole_grid_engine(state, chi, qs)[0].tobytes()
+        wide = np.linspace(0.0, 40.0, 81)
+        cut = momentum_decay(state, 1.0)(wide) <= math.log(0.1 * tol)
+        assert wigner_grid(state, chi, wide).columns_past_horizon == cut.sum()
+        cut = momentum_decay(state, 0.5)(wide) <= math.log(0.1 * tol)
+        assert np.array_equal(psi_momentum(state, wide) == 0.0, cut)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 1.5)
+        with pytest.raises(PrecisionLossError, match=f"exceeds {10.0 * tol:.2e}"):
+            wigner_grid(s4_states[1], chi, qs)
 
     def test_too_coarse_step_raises(self, s4_states, monkeypatch):
         chi, qs = figure1_axes(4.0, 17)
-        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 1.5)
         with pytest.raises(PrecisionLossError, match=r"chi=.*pR="):
             wigner_grid(s4_states[1], chi, qs)
 
@@ -489,7 +525,7 @@ def asymptotic_guard_nodes(state, chi, qs, spec=QuadratureSpec()):
     (2/pi) log(1/abs_tol) + 8 + (2/pi) sigma log(1 + sigma), with T at the
     largest |chi|: the new count must never exceed it."""
     f = bound_sampler(state)
-    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), state.params.R, spec)
+    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), state.params.R, spec.abs_tol)
     sig = state.sigma
     guard = (2.0 / math.pi) * math.log(1.0 / spec.abs_tol) + 8.0 + (2.0 / math.pi) * sig * math.log1p(sig)
     return int(math.ceil(T * (float(np.max(np.abs(qs))) + guard) / (2.0 * math.pi))) + 1
@@ -518,7 +554,7 @@ class TestProvenStep:
         chi = np.linspace(0.0, 6.0 / math.sqrt(s), 25)
         for n in range(4):
             state = BoundStateLabel(n, params)
-            g = 2.0 * math.pi / spectral_step(0.0, state, 1.0, QuadratureSpec())
+            g = 2.0 * math.pi / spectral_step(0.0, state, 1.0)
             qs = np.concatenate([np.linspace(0.0, g, 9), g * np.array([1.1, 1.25])])
             f = bound_sampler(state)
             peak = np.max(np.abs(wigner_quadrature_grid(f, f, chi, qs / R, R, spec)), axis=0)
@@ -532,7 +568,6 @@ class TestProvenStep:
 class TestHorizon:
     def test_rows_past_the_horizon_are_zero_and_certified(self, s4_states):
         chi, qs = np.linspace(0.0, 8.0, 33), np.linspace(0.0, 12.0, 9)
-        spec = QuadratureSpec()
         for state in s4_states[:2]:  # sigma = 4 and 3: horizons near chi = 4 and 6
             grid = wigner_grid(state, chi, qs)
             past = len(chi) - grid.rows_past_horizon
@@ -540,7 +575,7 @@ class TestHorizon:
             assert not grid.values[past:].any() and grid.values[past - 1].all()
             f = bound_sampler(state)
             oracle = wigner_quadrature_grid(f, f, chi[past:], qs, 1.0, TIGHT).real
-            assert np.max(np.abs(oracle)) <= 0.1 * spec.abs_tol
+            assert np.max(np.abs(oracle)) <= 0.1 * quadrature.CERTIFIED_ABS_TOL
         assert wigner_grid(s4_states[3], chi, qs).rows_past_horizon == 0
 
     def test_axis_far_past_the_horizon(self, s4_states):
@@ -551,22 +586,22 @@ class TestHorizon:
     def test_columns_past_the_momentum_cut_are_zero_and_certified(self, s4_states):
         # the cut sits near pR = 14.2 (n = 0) and 15.0 (n = 1), on both sides of 0
         chi, qs = np.linspace(0.0, 3.0, 7), np.linspace(-40.0, 40.0, 41)
-        spec = QuadratureSpec()
+        budget = 0.1 * quadrature.CERTIFIED_ABS_TOL
         for state in s4_states[:2]:
             grid = wigner_grid(state, chi, qs)
             zero = ~grid.values.any(axis=0)
-            cut = momentum_decay(state, 1.0)(np.abs(qs)) <= math.log(0.1 * spec.abs_tol)
+            cut = momentum_decay(state, 1.0)(np.abs(qs)) <= math.log(budget)
             assert np.array_equal(zero, cut) and np.array_equal(zero, np.abs(qs) > 14.0)
             assert grid.columns_past_horizon == zero.sum()
             f = bound_sampler(state)
             oracle = wigner_quadrature_grid(f, f, chi, qs[zero], 1.0, TIGHT).real
-            assert np.max(np.abs(oracle)) <= 0.1 * spec.abs_tol
+            assert np.max(np.abs(oracle)) <= budget
         assert wigner_grid(s4_states[0], chi, qs[14:27]).columns_past_horizon == 0  # |pR| <= 12
 
     def test_uncertified_point_names_its_pR_on_the_whole_axis(self, s4_states, monkeypatch):
         # the columns below the cut are not evaluated; the message still
         # names the worst point's pR, not its place among the evaluated ones
-        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c, spec: 1.5)
+        monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 1.5)
         chi, qs = figure1_axes(4.0, 17)[0], np.linspace(-40.0, 12.0, 27)
         evaluated = qs[qs > -15.0]
         _, err, bound, _ = whole_grid_engine(s4_states[1], chi, evaluated)
