@@ -520,14 +520,15 @@ class TestSpectralEngine:
             wigner_grid(s4_states[1], chi, qs)
 
 
-def asymptotic_guard_nodes(state, chi, qs, spec=QuadratureSpec()):
+def asymptotic_guard_nodes(state, chi, qs):
     """Node count under the step guard the proven bound replaced,
-    (2/pi) log(1/abs_tol) + 8 + (2/pi) sigma log(1 + sigma), with T at the
-    largest |chi|: the new count must never exceed it."""
-    f = bound_sampler(state)
-    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), state.params.R, spec.abs_tol)
+    (2/pi) log(1/tol) + 8 + (2/pi) sigma log(1 + sigma), tol the engine's
+    stated tolerance, with T at the largest |chi|: the new count must never
+    exceed it."""
+    f, tol = bound_sampler(state), quadrature.CERTIFIED_ABS_TOL
+    T = wigner._pair_truncation(f, f, float(np.max(np.abs(chi))), state.params.R, tol)
     sig = state.sigma
-    guard = (2.0 / math.pi) * math.log(1.0 / spec.abs_tol) + 8.0 + (2.0 / math.pi) * sig * math.log1p(sig)
+    guard = (2.0 / math.pi) * math.log(1.0 / tol) + 8.0 + (2.0 / math.pi) * sig * math.log1p(sig)
     return int(math.ceil(T * (float(np.max(np.abs(qs))) + guard) / (2.0 * math.pi))) + 1
 
 
