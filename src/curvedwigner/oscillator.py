@@ -46,6 +46,7 @@ __all__ = [
     "psi_bound",
     "bound_sampler",
     "momentum_decay",
+    "falling_root",
     "spectral_step",
     "psi_momentum",
     "psi_momentum_closed",
@@ -243,8 +244,8 @@ def momentum_decay(state: BoundStateLabel, c: float):
     return log_bound
 
 
-def _falling_root(excess) -> float:
-    """Root of ``excess``, falling on q >= 0: the end, where excess <= 0, of
+def falling_root(excess) -> float:
+    """Root of ``excess``, falling on x >= 0: the end, where excess <= 0, of
     a bracket doubled from [0, 1] and then bisected 60 times."""
     lo, hi = 0.0, 1.0
     while excess(hi) > 0.0:
@@ -300,7 +301,7 @@ def spectral_step(q_max: float, state: BoundStateLabel, c: float) -> float:
         decay = 2.0 * c * g * math.atan(g / s)
         return float(log_bound(g)) + math.log(2.0) - math.log(-math.expm1(-decay)) - target
 
-    return 2.0 * math.pi / (q_max + _falling_root(excess))
+    return 2.0 * math.pi / (q_max + falling_root(excess))
 
 
 def psi_momentum(state: BoundStateLabel, p):
@@ -315,7 +316,7 @@ def psi_momentum(state: BoundStateLabel, p):
     R, budget = state.params.R, 0.1 * CERTIFIED_ABS_TOL
     q, scale = np.asarray(p, dtype=float).ravel() * R, math.sqrt(R / (2.0 * math.pi))
     log_bound, log_budget = momentum_decay(state, 0.5), math.log(budget)
-    cut = _falling_root(lambda x: float(log_bound(x)) - log_budget)
+    cut = falling_root(lambda x: float(log_bound(x)) - log_budget)
     h = spectral_step(cut, state, 0.5)
     T = bound_sampler(state).envelope.tail_radius(budget / scale)
     inside = np.abs(q) <= cut

@@ -18,7 +18,9 @@ and two independent oracles.
   follow the rows within it.  Past the |q| where W's bound B_1(|q|)
   (``momentum_decay``) falls below the budget the columns are 0 too, and h
   follows the columns before that cut.  ``WignerGrid.rows_past_horizon``
-  and ``columns_past_horizon`` count them.
+  and ``columns_past_horizon`` count them.  ``state_axes`` gives a state's
+  own uniform axes up to both cuts, on steps proven for the trapezoid
+  integrals of W and W^2 that verification criterion 2 checks.
 
 * ``wigner_quadrature_grid`` integrates the defining correlation integral
 
@@ -74,8 +76,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonconvergenceError, PrecisionLossError
-from .oscillator import (BoundStateLabel, OscillatorParams, bound_sampler, momentum_decay,
-                         psi_bound, psi_momentum, spectral_step)
+from .oscillator import (BoundStateLabel, OscillatorParams, bound_sampler, falling_root,
+                         momentum_decay, psi_bound, psi_momentum, spectral_step)
 from .quadrature import CERTIFIED_ABS_TOL, QuadratureSpec, gauss_kronrod_vector, half_line_trapezoid
 from .sampling import DecayEnvelope, FieldSampler
 from .specfun import laguerre, log_gamma
@@ -85,6 +87,7 @@ __all__ = [
     "wigner_grid",
     "wigner_quadrature_grid",
     "wigner_closed_grid",
+    "state_axes",
     "exact_marginals",
     "marginal_momentum_integrated",
     "marginal_position_integrated",
@@ -351,10 +354,8 @@ def _above_budget(log_bound: np.ndarray) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
 
 
-def _horizon(f: FieldSampler, chi: np.ndarray, R: float) -> slice:
-    """The run of rows of ``chi`` the engine evaluates: every row outside it
-    has |W| within the truncation budget, a tenth of ``CERTIFIED_ABS_TOL``,
-    so it is written as 0.
+def _row_log_bound(f: FieldSampler, R: float, dist):
+    """log of a bound on |W(chi, q)| at |chi| = ``dist``, for every q.
 
     With |f(u)| <= a e^{-r |u|}, |corr(chi, tau)| <= a^2 e^{-2 r max(|chi|, |tau| / 2)},
     whose integral over tau is a^2 e^{-2 r |chi|} (4 |chi| + 2 / r), so
@@ -365,9 +366,92 @@ def _horizon(f: FieldSampler, chi: np.ndarray, R: float) -> slice:
     -2 r + 2 r / (2 r |chi| + 1) <= 0), as ``_above_budget`` needs.
     """
     rate = f.envelope.rate
-    dist = np.abs(chi)
-    return _above_budget(math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
-                         - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate))
+    return (math.log(R / (2.0 * math.pi)) + 2.0 * f.envelope.log_amplitude
+            - 2.0 * rate * dist + np.log(4.0 * dist + 2.0 / rate))
+
+
+def _horizon(f: FieldSampler, chi: np.ndarray, R: float) -> slice:
+    """The run of rows of ``chi`` the engine evaluates: every row outside it
+    has |W| within the truncation budget, a tenth of ``CERTIFIED_ABS_TOL``
+    (``_row_log_bound``), so it is written as 0."""
+    return _above_budget(_row_log_bound(f, R, np.abs(chi)))
+
+
+def state_axes(state: BoundStateLabel) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform quadrant axes (chi_axis, pR_axis) of ``state``, from 0 to its
+    horizon X in chi (past it every row is below the truncation budget, a
+    tenth of ``CERTIFIED_ABS_TOL``; ``_row_log_bound``) and from 0 to its
+    momentum cut Q in q = pR (past it B_1(q), ``momentum_decay``, is below
+    the budget), with steps on which the trapezoid sums of W and of W^2 over
+    the plane, over q at each row and over chi at each column, each miss
+    their integral by at most the budget.  W is even in chi and in q, so the
+    quadrant's trapezoid reflected is the whole line's.  The step in each
+    variable comes from W's analyticity in a strip, as follows.
+
+    *q.*  With T = 2 pi / dq, Poisson summation gives the whole-line sum
+    dq sum_k F(k dq) = sum_m F^(m T), F^ the Fourier transform in q.  For
+    F = W(chi, .) it is F^(t) = R c(chi, t), c the correlation, and
+    |c(chi, t)| <= a^2 e^{-sigma |t|} (the envelope |psi| <= a e^{-sigma |u|};
+    W is analytic for |Im q| < sigma).  For F = W^2 it is the
+    self-convolution (R^2 / 2 pi) (c * c)(t), and
+    |c * c(t)| <= a^4 (|t| + 1 / sigma) e^{-sigma |t|}.  With x = sigma T
+    the aliases of int dp (one factor 1 / R) sum to at most
+
+        W:    2 a^2 e^{-x} / (1 - e^{-x}),
+        W^2:  (R / pi) a^4 (T + 1 / sigma) e^{-x} / (1 - e^{-x})^2
+
+    at every row; the plane's sums take them over 2X of rows.
+
+    *chi.*  psi_n is analytic for |Im u| < pi / 2 and, as
+    ``oscillator.spectral_step`` shows, |psi(x + iy)| <= K sech^sigma(x)
+    cos^{-s}(y), K = N 2^sigma S_n, s = sigma + n.  So for real q and
+    |y| < pi / 2, Cauchy-Schwarz on the correlation integral gives
+    sup_x |W(x + iy, q)| <= B_1(0) cos^{-2s}(y), and integrating over x
+    (u, v = x -/+ tau / 2) gives int |W(x + iy, q)| dx <= M cos^{-2s}(y)
+    with M = B_1/2(0)^2, the product of two int sech^sigma (B_c from
+    ``momentum_decay``).  For W^2, sup times integral, M = B_1(0) B_1/2(0)^2
+    and the power doubles.  By the strip theorem (Trefethen & Weideman,
+    SIAM Review 56 (2014) 385, Thm 5.1) a chi sum at step dchi = 2 pi / G
+    misses by at most 2 M cos^{-2ks}(y) / (e^{G y} - 1), k = 1 for W and 2
+    for W^2; at tan y = G / 2ks, near the best y, that is
+
+        2 M (1 + (G / 2ks)^2)^{ks} / (e^{G atan(G / 2ks)} - 1)
+
+    at every column; the plane's sums take them over 2Q / R of columns.
+
+    Each bound falls monotonically in T or G, so each step is 2 pi over the
+    root (``falling_root``) of the larger of its bounds, times the plane's
+    extent when that exceeds 1, at the budget; the axes take the fewest
+    points whose step is within it.
+    """
+    f = bound_sampler(state)
+    R, sig, s = state.params.R, state.sigma, state.s
+    log_a, log_budget = f.envelope.log_amplitude, math.log(0.1 * CERTIFIED_ABS_TOL)
+    log_w, log_psit = momentum_decay(state, 1.0), momentum_decay(state, 0.5)
+    log_b1, log_bh = float(log_w(0.0)), float(log_psit(0.0))
+    X = falling_root(lambda x: float(_row_log_bound(f, R, x)) - log_budget)
+    Q = falling_root(lambda q: float(log_w(q)) - log_budget)
+
+    def log_pole(v):  # log(e^v - 1) without overflow
+        return v + math.log(-math.expm1(-v))
+
+    def q_excess(T):
+        x = sig * T
+        w = math.log(2.0) + 2.0 * log_a - log_pole(x)
+        w2 = (math.log(R / math.pi) + 4.0 * log_a + math.log(T + 1.0 / sig)
+              - log_pole(x) - math.log(-math.expm1(-x)))
+        return max(w, w2) + math.log(max(1.0, 2.0 * X)) - log_budget
+
+    def chi_excess(G):
+        def alias(k, log_m):
+            z = G / (2.0 * k * s)
+            return math.log(2.0) + log_m + k * s * math.log1p(z * z) - log_pole(G * math.atan(z))
+        w, w2 = alias(1, 2.0 * log_bh), alias(2, log_b1 + 2.0 * log_bh)
+        return max(w, w2) + math.log(max(1.0, 2.0 * Q / R)) - log_budget
+
+    dchi, dq = (2.0 * math.pi / falling_root(excess) for excess in (chi_excess, q_excess))
+    return (np.linspace(0.0, X, int(math.ceil(X / dchi)) + 1),
+            np.linspace(0.0, Q, int(math.ceil(Q / dq)) + 1))
 
 
 def wigner_grid(state: BoundStateLabel, chi_axis, pR_axis) -> WignerGrid:
@@ -435,8 +519,9 @@ def exact_marginals(state: BoundStateLabel, chi_axis, pR_axis):
     every k >= 1 cosine integrates to 0 and c(chi, 0) = psi(chi)^2 is left,
     with no truncation and no step.  integral dchi W = |psi~(p)|^2 is the
     paper's identity, which verification criterion 2 checks for the engine
-    on a grid covering the support, and criterion 9 checks psi~ (real or
-    imaginary) and its printed 3F2 oracle against the numerical transform.
+    on each state's own axes (``state_axes``), and criterion 9 checks psi~
+    (real or imaginary) and its printed 3F2 oracle against the numerical
+    transform.
     """
     R = state.params.R
     position = psi_bound(state, np.asarray(chi_axis, dtype=float)) ** 2

@@ -7,9 +7,12 @@ implementation slack; see the verification detail strings) are marked
 strict-xfail: they run faithfully and the suite alerts if they ever pass.
 """
 
+import math
+
 import pytest
 
-from curvedwigner import verify
+from curvedwigner import quadrature, verify, wigner
+from curvedwigner.wigner import WignerGrid
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +61,54 @@ def test_criterion_2_detail_names_the_integrals(marginals_result):
     # integrates dchi W with no factor R
     labels = [part.split(" = ")[0] for part in marginals_result.detail.split(", ")]
     assert labels == ["max |int dp W - |psi|^2|", "max |int dchi W - |psit|^2|",
-                      "max |total - 1|"]
+                      "max |total - 1|", "max |purity - R/2pi|", "max |W(0,0) - (-1)^n R/pi|"]
+
+
+def test_criterion_2_runs_on_small_grids(marginals_result):
+    # each identity is reported against CERTIFIED_ABS_TOL, and the states'
+    # own axes hold the four grids to under 20 000 points together
+    data = marginals_result.data
+    for name in ("position_marginal_dev", "momentum_marginal_dev", "total_probability_dev",
+                 "purity_dev", "origin_dev"):
+        assert 0.0 <= data[name] <= quadrature.CERTIFIED_ABS_TOL, name
+    assert len(data["grids"]) == 4
+    assert sum(rows * cols for rows, cols in data["grids"]) < 20_000
+
+
+def _coarse_step(monkeypatch):
+    # h x 3 with the engine's step-halving check switched off (only
+    # half_line_trapezoid reads quadrature's binding of the tolerance).
+    # The engine returns the step-h/2 sum, so h x 2 leaves it on the proven
+    # step h, with every residual as small as before: x 3 is the first
+    # integer factor that moves a value
+    step = wigner.spectral_step
+    monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 3.0 * step(q_max, state, c))
+    monkeypatch.setattr(quadrature, "CERTIFIED_ABS_TOL", math.inf)
+
+
+def _short_truncation(monkeypatch):
+    # T cut to three quarters of what the correlation's envelope needs
+    truncation = wigner._pair_truncation
+    monkeypatch.setattr(wigner, "_pair_truncation", lambda *args: 0.75 * truncation(*args))
+
+
+def _scaled_engine(monkeypatch):
+    grid = verify.wigner_grid
+
+    def scaled(*args):
+        g = grid(*args)
+        return WignerGrid(g.chi_axis, g.pR_axis, (1.0 + 1e-9) * g.values, g.state)
+
+    monkeypatch.setattr(verify, "wigner_grid", scaled)
+
+
+@pytest.mark.parametrize("perturb", [_coarse_step, _short_truncation, _scaled_engine],
+                         ids=["step_x3_unchecked", "short_truncation", "engine_x_1e-9"])
+def test_criterion_2_fails_on_a_perturbed_engine(monkeypatch, perturb):
+    perturb(monkeypatch)
+    res = _run(verify.criterion_marginals)
+    assert not res.passed
+    assert res.data["worst_fraction_of_tol"] > 2.0
 
 
 def test_criterion_3_spectrum():

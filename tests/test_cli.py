@@ -452,13 +452,18 @@ CONTRACT_STATES = [(0.5, 0)] + [(s, n) for s, top in ((4.2, 4), (30.0, 29), (200
 def test_cli_contract_across_depths_and_modes(tmp_path, capsys, s, n):
     # each run exits 0 with every written value within its bound (s = 2000,
     # n = 1000 included, where psi's Gegenbauer factor passes the double
-    # range at chi = 0); nothing raises out of main
+    # range at chi = 0); nothing raises out of main.  The wigner grid holds
+    # the origin, where W(0, 0) = (-1)^n R / pi exactly, by parity
     state = BoundStateLabel(n, OscillatorParams.from_depth(s))
     for command, grid in (("wavefun", "0:2:9,0:8:9"), ("wigner", "0:1:3,0:8:3")):
         out = tmp_path / command
         code = main([command, "--s", repr(s), "--n", str(n), "--grid", grid, "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         assert_within_bounds(command, out, state)
+    _, (chi, q, w) = read_csv(tmp_path / "wigner" / f"wigner_n{n}.csv")
+    origin = w[(chi == 0.0) & (q == 0.0)]
+    assert len(origin) == 1
+    assert abs(origin[0] - (-1) ** n * state.params.R / math.pi) <= CERTIFIED_ABS_TOL
 
 
 class TestWignerCommand:

@@ -22,9 +22,10 @@ from curvedwigner.wigner import (
 
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
-    """Criterion 2's s = 4, n = 3 grid (601 x 401) and the traced peaks of
-    building it, of its marginals (the grid alive) and of writing its CSV
-    (above what was traced before), in bytes."""
+    """A large s = 4, n = 3 grid, 601 x 401 points over chi <= 8 and
+    pR <= 12, and the traced peaks of building it, of its marginals (the
+    grid alive) and of writing its CSV (above what was traced before), in
+    bytes."""
     state = BoundStateLabel(3, OscillatorParams.from_depth(4.0))
     out = tmp_path_factory.mktemp("memory") / "g.csv"
     peaks = {}

@@ -27,9 +27,11 @@ from curvedwigner.sampling import FieldSampler
 from curvedwigner.wigner import (
     WignerGrid,
     contraction_report,
+    exact_marginals,
     flat_ho_wigner,
     marginal_momentum_integrated,
     marginal_position_integrated,
+    state_axes,
     total_probability,
     wigner_closed_grid,
     wigner_grid,
@@ -611,6 +613,44 @@ class TestHorizon:
         with pytest.raises(PrecisionLossError) as exc:
             wigner_grid(s4_states[1], chi, qs)
         assert f"chi={chi[i]:.6g}, pR={evaluated[j]:.6g}: " in str(exc.value)
+
+
+class TestStateAxes:
+    @pytest.mark.parametrize("s, n", [(4.0, 0), (4.0, 3), (30.0, 3)])
+    def test_rows_and_columns_past_the_axes_are_below_the_budget(self, s, n):
+        # uniform axes from 0; the engine evaluates every row and column
+        # before their ends, and two more steps past either end leave only
+        # values below the truncation budget, by the quadrature oracle
+        state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+        chi, qs = state_axes(state)
+        assert chi[0] == 0.0 and qs[0] == 0.0
+        for axis in (chi, qs):
+            np.testing.assert_allclose(np.diff(axis), axis[1], rtol=1e-9)
+        past_chi, past_q = chi[-1] + chi[1] * np.arange(1, 3), qs[-1] + qs[1] * np.arange(1, 3)
+        grid = wigner_grid(state, np.concatenate([chi, past_chi]), np.concatenate([qs, past_q]))
+        assert grid.rows_past_horizon in (2, 3) and grid.columns_past_horizon in (2, 3)
+        f = bound_sampler(state)
+        budget = 0.1 * quadrature.CERTIFIED_ABS_TOL
+        rows = wigner_quadrature_grid(f, f, past_chi, qs[::4], 1.0, TIGHT).real
+        cols = wigner_quadrature_grid(f, f, chi[::4], past_q, 1.0, TIGHT).real
+        assert np.max(np.abs(rows)) <= budget and np.max(np.abs(cols)) <= budget
+
+    @pytest.mark.parametrize("s, n", [(30.0, 3), (30.0, 25), (200.0, 0)])
+    def test_identities_hold_past_the_criterion_states(self, s, n):
+        # the steps are proven for any state, not tuned to s = 4: at
+        # (30, 25) W^2 oscillates fastest, where a step guessed from s alone
+        # missed the purity by 2.6e-8
+        state = BoundStateLabel(n, OscillatorParams.from_depth(s))
+        chi, qs = state_axes(state)
+        grid = wigner_grid(state, chi, qs)
+        psi2, psit2 = exact_marginals(state, chi, qs)
+        tol = quadrature.CERTIFIED_ABS_TOL
+        assert np.max(np.abs(marginal_momentum_integrated(grid) - psi2)) <= tol
+        assert np.max(np.abs(marginal_position_integrated(grid) - psit2)) <= tol
+        assert abs(total_probability(grid) - 1.0) <= tol
+        purity = total_probability(WignerGrid(chi, qs, grid.values ** 2, state))
+        assert abs(purity - 1.0 / (2.0 * math.pi)) <= tol
+        assert abs(grid.values[0, 0] - (-1) ** n / math.pi) <= tol
 
 
 class TestGridRoutesMatchPointRoutes:
