@@ -427,8 +427,8 @@ def state_axes(state: BoundStateLabel) -> tuple[np.ndarray, np.ndarray]:
     f = bound_sampler(state)
     R, sig, s = state.params.R, state.sigma, state.s
     log_a, log_budget = f.envelope.log_amplitude, math.log(0.1 * CERTIFIED_ABS_TOL)
-    log_w, log_psit = momentum_decay(state, 1.0), momentum_decay(state, 0.5)
-    log_b1, log_bh = float(log_w(0.0)), float(log_psit(0.0))
+    log_w = momentum_decay(state, 1.0)
+    log_b1, log_bh = float(log_w(0.0)), float(momentum_decay(state, 0.5)(0.0))
     X = falling_root(lambda x: float(_row_log_bound(f, R, x)) - log_budget)
     Q = falling_root(lambda q: float(log_w(q)) - log_budget)
 

@@ -79,8 +79,8 @@ def _coarse_step(monkeypatch):
     # h x 3 with the engine's step-halving check switched off (only
     # half_line_trapezoid reads quadrature's binding of the tolerance).
     # The engine returns the step-h/2 sum, so h x 2 leaves it on the proven
-    # step h, with every residual as small as before: x 3 is the first
-    # integer factor that moves a value
+    # step h, where no residual moves past rounding: x 3 is the first
+    # integer factor that the identities can see
     step = wigner.spectral_step
     monkeypatch.setattr(wigner, "spectral_step", lambda q_max, state, c: 3.0 * step(q_max, state, c))
     monkeypatch.setattr(quadrature, "CERTIFIED_ABS_TOL", math.inf)
